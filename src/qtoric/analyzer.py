@@ -9,6 +9,7 @@ reported either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +79,8 @@ def extract_factors(
     normalized. The factorization is accepted when the embedded product
     matches the state to ``10 * tol`` after phase alignment.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     unit = state.normalized()
     m = state.num_qubits
     pivot = int(np.argmax(np.abs(unit.amplitudes)))
@@ -104,8 +105,8 @@ def analyze(state: MultiQubitState, tol: float = DEFAULT_TOLERANCE) -> AnalysisR
     """Run the full pipeline on one state."""
     if state.num_qubits < 2:
         raise WrongQubitCountError("analysis needs at least 2 qubits")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     max_residual = max_segre_residual(state)
     factors = extract_factors(state, tol)
     separable = bool(max_residual <= tol) and factors is not None

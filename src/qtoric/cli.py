@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -508,8 +509,8 @@ def main(argv=None) -> int:
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return 1
-    if getattr(args, "tol", 1.0) <= 0:
-        print("qtoric: error: --tol must be positive", file=sys.stderr)
+    if not 0 < getattr(args, "tol", 1.0) < math.inf:
+        print("qtoric: error: --tol must be positive and finite", file=sys.stderr)
         return 1
     try:
         return args.run(args)

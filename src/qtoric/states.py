@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -85,9 +85,14 @@ class MultiQubitState:
         object.__setattr__(self, "num_qubits", int(self.num_qubits))
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
+    @cached_property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        # Scaled by the largest magnitude first, as BLAS nrm2 does, so a state
+        # at any finite scale neither overflows nor underflows. Computed once
+        # per state, since the amplitudes are read-only: the per-relation
+        # residuals of one state all divide by it.
+        scale = float(np.abs(self.amplitudes).max())
+        return scale * float(np.linalg.norm(self.amplitudes / scale))
 
     def normalized(self) -> "MultiQubitState":
         """The same projective state scaled to unit norm."""

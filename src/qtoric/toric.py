@@ -12,6 +12,12 @@ deduplicated form: both pairs sorted ascending, the smaller pair on the
 left. Axis ``j`` counts bit significance starting at 1 for the least
 significant bit.
 
+The relations on axis ``j`` are exactly the 2x2 minors of the flattening
+that splits qubit ``j`` from the rest, the 2 x 2^(m-1) matrix whose rows are
+the amplitudes with bit ``j`` clear and set (Landsberg, *Tensors: Geometry
+and Applications*, 2012). :func:`max_segre_residual` evaluates the minors
+directly; :func:`segre_relations` enumerates them for listing.
+
 The exponent set pairing index ``x`` with the unit-cube vertex whose
 coordinates are the bits of ``x`` (most significant first) makes each
 relation a balanced monomial identity: the two sides have equal exponent
@@ -482,28 +488,29 @@ def relation_residual(state: MultiQubitState, relation: BinomialRelation) -> flo
     return float(abs(a[x] * a[y] - a[u] * a[v]))
 
 
-@lru_cache(maxsize=None)
-def _relation_index_arrays(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    relations = segre_relations(m)
-    lhs = np.array([r.lhs for r in relations])
-    rhs = np.array([r.rhs for r in relations])
-    return lhs[:, 0], lhs[:, 1], rhs[:, 0], rhs[:, 1]
-
-
 def max_segre_residual(state: MultiQubitState) -> float:
-    """Largest relation residual; zero exactly on fully separable states."""
+    """Largest relation residual; zero exactly on fully separable states.
+
+    Evaluated as the largest 2x2 minor of the m single-qubit flattenings:
+    with ``d`` the outer product of a flattening's two rows, its minors are
+    the entries of ``d - d.T``.
+    """
     if state.num_qubits < 2:
         raise WrongQubitCountError("residuals need at least 2 qubits")
-    x, y, u, v = _relation_index_arrays(state.num_qubits)
     a = state.amplitudes / state.norm
-    return float(np.abs(a[x] * a[y] - a[u] * a[v]).max())
+    worst = 0.0
+    for position in range(state.num_qubits):  # ket order, most significant bit first
+        rows = a.reshape(1 << position, 2, -1)
+        d = np.multiply.outer(rows[:, 0].ravel(), rows[:, 1].ravel())
+        worst = max(worst, float(np.abs(d - d.T).max()))
+    return worst
 
 
 def verify_beta_balance(relation: BinomialRelation, exponents: ExponentSet) -> bool:
     """Whether the relation is a balanced monomial identity on the exponent set.
 
-    Both sides must have equal exponent-vector sums and equal total degree
-    (degree 2 on each side for these quadrics, checked for form).
+    Both sides must have equal exponent-vector sums; both have total degree
+    2 by construction.
     """
     for index in (*relation.lhs, *relation.rhs):
         if not 0 <= index < exponents.k:
@@ -513,5 +520,4 @@ def verify_beta_balance(relation: BinomialRelation, exponents: ExponentSet) -> b
     points = exponents.points
     lhs_sum = points[relation.lhs[0]] + points[relation.lhs[1]]
     rhs_sum = points[relation.rhs[0]] + points[relation.rhs[1]]
-    degrees_match = len(relation.lhs) == len(relation.rhs)
-    return bool(np.array_equal(lhs_sum, rhs_sum)) and degrees_match
+    return bool(np.array_equal(lhs_sum, rhs_sum))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -45,8 +47,9 @@ def test_extract_factors_single_qubit():
 
 
 def test_extract_factors_requires_positive_tol():
-    with pytest.raises(ValueError):
-        extract_factors(named_state("bell"), 0.0)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            extract_factors(named_state("bell"), tol)
 
 
 def test_analyze_bell():
@@ -139,6 +142,30 @@ def test_tolerance_monotonicity():
     first = verdicts.index(True) if True in verdicts else len(verdicts)
     assert all(verdicts[first:])
     assert not any(verdicts[:first])
+
+
+def _flat_numbers(value):
+    if isinstance(value, dict):
+        return [x for key in sorted(value) for x in _flat_numbers(value[key])]
+    if isinstance(value, list):
+        return [x for item in value for x in _flat_numbers(item)]
+    return [] if value is None else [value]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_analyze_any_scale(m):
+    # States are projective: scaling far past the square root of the float
+    # range must neither overflow nor underflow the norm.
+    rng = np.random.default_rng(70 + m)
+    product = random_product_state(rng, m)
+    for state in (random_state(rng, m), make_state(m, product.amplitudes)):
+        reference = analyze(state).to_dict()
+        for scale in (1e300, 1e200, 1e-170, 1e-200, 1e-300):
+            report = analyze(MultiQubitState(m, scale * state.amplitudes)).to_dict()
+            assert report["separable"] == reference["separable"]
+            got, want = _flat_numbers(report), _flat_numbers(reference)
+            assert len(got) == len(want)
+            assert np.allclose(got, want, rtol=0, atol=1e-15), scale
 
 
 def test_borderline_flag():

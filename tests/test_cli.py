@@ -320,5 +320,6 @@ def test_output_flag_writes_file(tmp_path):
 
 
 def test_nonpositive_tol_rejected():
-    result = run_cli("analyze", "--state", "bell", "--tol", "-1")
-    assert result.returncode == 1
+    for tol in ("-1", "inf", "nan"):
+        result = run_cli("analyze", "--state", "bell", "--tol", tol)
+        assert result.returncode == 1, tol

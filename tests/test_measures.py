@@ -256,6 +256,25 @@ def test_tau4_contraction_is_twice_h_squared():
         checked += 1
 
 
+def test_tau4_contraction_matches_dense_sum():
+    # Reference: the 16^4 coefficient table summed term by term. The
+    # coefficient of a_k a_l a_m a_n is eps on the three high bits of (k, l)
+    # and of (m, n), times eps on the low bits of (k, m) and of (l, n).
+    from qtoric.measures import _tau4_contraction
+
+    high = np.kron(np.kron(np.kron(J, J), J), np.ones((2, 2)))
+    low = np.kron(np.ones((8, 8)), J)
+    table = (
+        high[:, :, None, None] * high[None, None, :, :]
+        * low[:, None, :, None] * low[None, :, None, :]
+    )
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        a = random_state(rng, 4).amplitudes
+        dense = np.einsum("klmn,k,l,m,n->", table, a, a, a, a)
+        assert abs(_tau4_contraction(a) - dense) <= 1e-15
+
+
 def test_tau4_epsilon_bit_stable():
     rng = np.random.default_rng(58)
     s = random_state(rng, 4)

@@ -11,6 +11,7 @@ from qtoric import (
     ExponentSet,
     IndexOutOfRangeError,
     LatticePolytope,
+    MultiQubitState,
     RedundantVertexError,
     UnsupportedPolytopeError,
     WrongQubitCountError,
@@ -287,8 +288,6 @@ def test_max_residual_golden_values():
 def test_max_residual_scale_invariant():
     rng = np.random.default_rng(32)
     state = random_state(rng, 3)
-    from qtoric import MultiQubitState
-
     scaled = MultiQubitState(3, 7.25 * state.amplitudes)
     assert abs(max_segre_residual(state) - max_segre_residual(scaled)) <= 1e-12
 
@@ -298,6 +297,29 @@ def test_max_residual_random_products():
     for _ in range(1000):
         m = int(rng.integers(2, 5))
         assert max_segre_residual(random_product_state(rng, m)) <= 1e-12
+
+
+def _w_state(m):
+    amplitudes = np.zeros(1 << m, dtype=complex)
+    amplitudes[[1 << k for k in range(m)]] = 1.0
+    return MultiQubitState(m, amplitudes)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_max_residual_matches_relation_enumeration(m):
+    # The flattening minors against the enumerated relation set, relation by
+    # relation. Several random states, so that the largest minor falls on
+    # different flattenings.
+    rng = np.random.default_rng(34 + m)
+    relations = segre_relations(m)
+    states = [random_state(rng, m) for _ in range(4)] + [
+        random_product_state(rng, m),
+        named_state(f"ghz{m}"),
+        _w_state(m),
+    ]
+    for state in states:
+        enumerated = max(relation_residual(state, r) for r in relations)
+        assert abs(max_segre_residual(state) - enumerated) <= 1e-15
 
 
 # --- beta balance --------------------------------------------------------------
