@@ -17,11 +17,15 @@ with range [-1, 1] is the affine image t -> 4t + 1 of printed values.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .analyzer import AnalysisReport, DEFAULT_TOLERANCE, analyze, extract_factors
@@ -31,6 +35,7 @@ from .moment import BoxPolytope, in_polytope, moment_product, moment_projective
 from .states import (
     MultiQubitState,
     QubitFactor,
+    check_qubit_count,
     make_state,
     named_state,
     parse_complex_pair,
@@ -39,8 +44,12 @@ from .states import (
     state_from_dict,
     state_to_dict,
 )
-from .toric import cube, delzant_check, lattice_points, normal_fan_box, segre_relations
-from .toric import max_segre_residual, relation_residual
+from .toric import RELATION_TEXT, cube, delzant_check, lattice_points, normal_fan_box
+from .toric import max_segre_residual, relation_table
+
+# Not called here: segre works from relation_table. benchmarks/tracer.py
+# wraps both at these names.
+from .toric import relation_residual, segre_relations  # noqa: F401
 
 __all__ = ["main", "build_parser"]
 
@@ -105,6 +114,7 @@ def _state_from_file(path: str) -> MultiQubitState:
 
 def _fixture_state(name: str) -> MultiQubitState:
     if name and set(name) <= {"0", "1"}:
+        check_qubit_count(len(name))
         index = int(name, 2)
         amplitudes = [0.0] * (1 << len(name))
         amplitudes[index] = 1.0
@@ -127,18 +137,35 @@ def _resolve_state(args) -> MultiQubitState:
     raise _UsageError("a state is required: pass a JSON file or --state <name>")
 
 
-def _emit(args, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+def _emit(args, text) -> None:
+    """Write ``text``, a str or an iterable of str pieces, ending in a newline."""
+    pieces = [text] if isinstance(text, str) else text
     out = getattr(args, "output", None)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as handle:
+        ends_with_newline = False
+        for piece in pieces:
+            if piece:
+                handle.write(piece)
+                ends_with_newline = piece.endswith("\n")
+        if not ends_with_newline:
+            handle.write("\n")
 
 
-def _emit_json(args, payload) -> None:
-    _emit(args, json.dumps(payload, indent=2))
+_ROWS = "@rows@"
+
+
+def _emit_json(args, payload, rows=None) -> None:
+    """Write ``json.dumps(payload, indent=2)``.
+
+    With ``rows``, ``payload["relations"]`` is written from those pieces of
+    pre-rendered row text (an iterable, consumed here), separators included.
+    """
+    if rows is None:
+        _emit(args, json.dumps(payload, indent=2))
+        return
+    text = json.dumps({**payload, "relations": [_ROWS]}, indent=2)
+    head, tail = text.split(f'    "{_ROWS}"')
+    _emit(args, itertools.chain([head], rows, [tail]))
 
 
 # ---------------------------------------------------------------------------
@@ -173,21 +200,7 @@ def _report_text(report: AnalysisReport) -> str:
 def _cmd_analyze(args) -> int:
     target = getattr(args, "path", None)
     if target and Path(target).is_dir():
-        files = sorted(Path(target).glob("*.json"))
-        if not files:
-            raise _InputError(f"no .json state files in {target}")
-        states = [_state_from_file(str(f)) for f in files]
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            reports = list(pool.map(lambda s: analyze(s, args.tol), states))
-        if args.format == "json":
-            _emit_json(
-                args,
-                [{"path": f.name, **r.to_dict()} for f, r in zip(files, reports)],
-            )
-        else:
-            blocks = [f"== {f.name}\n{_report_text(r)}" for f, r in zip(files, reports)]
-            _emit(args, "\n\n".join(blocks))
-        return 0
+        return _analyze_directory(args, target)
     state = _resolve_state(args)
     if state.num_qubits < 2:
         raise _InputError("analyze needs a state of at least 2 qubits")
@@ -196,6 +209,50 @@ def _cmd_analyze(args) -> int:
         _emit_json(args, report.to_dict())
     else:
         _emit(args, _report_text(report))
+    return 0
+
+
+def _analyze_directory(args, target: str) -> int:
+    """One report per state file; a file that fails gets an error record instead."""
+    files = sorted(Path(target).glob("*.json"))
+    if not files:
+        raise _InputError(f"no .json state files in {target}")
+
+    # Files are read here and analyzed in the pool; a file that fails at
+    # either step is carried on as its error message.
+    outcomes: list = []
+    for path in files:
+        try:
+            outcomes.append(_state_from_file(str(path)))
+        except _InputError as exc:
+            outcomes.append(str(exc))
+
+    def run(outcome):
+        if isinstance(outcome, str):
+            return outcome
+        try:
+            return analyze(outcome, args.tol)
+        except QToricError as exc:
+            return str(exc)
+
+    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        outcomes = list(pool.map(run, outcomes))
+    failed = sum(isinstance(o, str) for o in outcomes)
+    if args.format == "json":
+        records = [
+            {"path": f.name, **({"error": o} if isinstance(o, str) else o.to_dict())}
+            for f, o in zip(files, outcomes)
+        ]
+        _emit_json(args, records)
+    else:
+        blocks = [
+            f"== {f.name}\n" + (f"error: {o}" if isinstance(o, str) else _report_text(o))
+            for f, o in zip(files, outcomes)
+        ]
+        _emit(args, "\n\n".join(blocks))
+    if failed:
+        print(f"qtoric: error: {failed} of {len(files)} files failed", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -210,44 +267,76 @@ def _cmd_segre(args) -> int:
             raise _UsageError("segre --list requires -m")
         if args.m < 2:
             raise _UsageError("segre needs m >= 2")
-        relations = segre_relations(args.m)
-        if args.format == "json":
-            _emit_json(args, {"m": args.m, "relations": [_relation_dict(r) for r in relations]})
-        else:
-            _emit(args, "\n".join(str(r) for r in relations))
-        return 0
-    state = _resolve_state(args)
-    if state.num_qubits < 2:
-        raise _InputError("segre residuals need a state of at least 2 qubits")
-    relations = segre_relations(state.num_qubits)
-    residuals = [relation_residual(state, r) for r in relations]
-    largest = max_segre_residual(state)
-    if args.format == "json":
-        payload = {
-            "m": state.num_qubits,
-            "relations": [
-                {**_relation_dict(r), "residual": res}
-                for r, res in zip(relations, residuals)
-            ],
-            "max_residual": largest,
-        }
-        _emit_json(args, payload)
+        m, residuals, largest = args.m, None, None
+        table = relation_table(m)
     else:
-        lines = [
-            f"{r}   residual = {_fmt(res)}" for r, res in zip(relations, residuals)
-        ]
-        lines.append(f"max residual = {_fmt(largest)}")
-        _emit(args, "\n".join(lines))
+        state = _resolve_state(args)
+        if state.num_qubits < 2:
+            raise _InputError("segre residuals need a state of at least 2 qubits")
+        m = state.num_qubits
+        table = relation_table(m)
+        a = state.amplitudes / state.norm
+        x, y, u, v = table[:, :4].T
+        residuals = np.abs(a[x] * a[y] - a[u] * a[v])
+        largest = max_segre_residual(state)
+    if args.format == "json":
+        template = _relation_row_template(residuals is not None)
+        rows = _rendered_rows(table, m, template, ",\n", residuals, repr)
+        payload = {"m": m, "relations": None}
+        if residuals is not None:
+            payload["max_residual"] = largest
+        _emit_json(args, payload, rows)
+    elif residuals is None:
+        _emit(args, _rendered_rows(table, m, RELATION_TEXT, "\n"))
+    else:
+        template = RELATION_TEXT + "   residual = %(r)s"
+        rows = _rendered_rows(table, m, template, "\n", residuals, _fmt)
+        _emit(args, itertools.chain(rows, [f"\nmax residual = {_fmt(largest)}"]))
     return 0
 
 
-def _relation_dict(relation) -> dict:
-    return {
-        "lhs": [relation.bitstring(i) for i in relation.lhs],
-        "rhs": [relation.bitstring(i) for i in relation.rhs],
-        "swap_axis": relation.swap_axis,
-        "text": str(relation),
-    }
+_BLOCK = 8192  # table rows rendered into one piece of output
+
+
+def _rendered_rows(table, m, template, sep, residuals=None, residual_text=None):
+    """``sep.join`` of ``template`` filled from each table row, piece by piece.
+
+    The fields are the bitstrings ``x, y, u, v``, the swap axis ``j`` and the
+    residual ``r`` as ``residual_text`` writes it. Pieces of ``_BLOCK`` rows
+    keep memory bounded: at m = 10 the JSON output is about 400 MB.
+    """
+    bits = [format(i, f"0{m}b") for i in range(1 << m)]
+    for start in range(0, len(table), _BLOCK):
+        block = table[start : start + _BLOCK].tolist()
+        if residuals is None:
+            texts = itertools.repeat("")
+        else:
+            texts = map(residual_text, residuals[start : start + _BLOCK].tolist())
+        piece = sep.join(
+            template % {"x": bits[x], "y": bits[y], "u": bits[u], "v": bits[v], "j": j, "r": r}
+            for (x, y, u, v, j), r in zip(block, texts)
+        )
+        yield piece if start == 0 else sep + piece
+
+
+def _relation_dict(lhs, rhs, swap_axis, text) -> dict:
+    """One relation row of the ``segre`` JSON payload."""
+    return {"lhs": list(lhs), "rhs": list(rhs), "swap_axis": swap_axis, "text": text}
+
+
+def _relation_row_template(with_residual: bool) -> str:
+    """A ``segre`` JSON row as a %-template, as ``json.dumps(indent=2)`` nests it.
+
+    Dumped from :func:`_relation_dict` with the fields of
+    :func:`_rendered_rows` as placeholders, so the rows written through it
+    cannot drift from the schema. The residual is filled in by ``repr``,
+    which is how ``json`` writes floats.
+    """
+    row = _relation_dict(("%(x)s", "%(y)s"), ("%(u)s", "%(v)s"), "%(j)d", RELATION_TEXT)
+    if with_residual:
+        row["residual"] = "%(r)s"
+    text = json.dumps(row, indent=2).replace('"%(j)d"', "%(j)d").replace('"%(r)s"', "%(r)s")
+    return "    " + text.replace("\n", "\n    ")
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,10 @@ class WrongQubitCountError(QToricError):
     """An operation was applied to a state with an unsupported qubit count."""
 
 
+class QubitLimitError(WrongQubitCountError):
+    """A qubit count exceeds a documented size limit."""
+
+
 class OddQubitCountError(WrongQubitCountError):
     """The m-tangle was requested for an odd number of qubits."""
 

@@ -27,12 +27,15 @@ from .errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
     NonFiniteAmplitudeError,
+    QubitLimitError,
     SchemaError,
     UnknownNameError,
     ZeroStateError,
 )
 
 __all__ = [
+    "MAX_QUBITS",
+    "check_qubit_count",
     "MultiQubitState",
     "QubitFactor",
     "ProjectivePoint",
@@ -49,6 +52,17 @@ __all__ = [
     "point_from_dict",
     "parse_complex_pair",
 ]
+
+
+MAX_QUBITS = 12
+"""Largest qubit count of a state: 2^12 amplitudes. Larger counts are refused
+before anything of their size is allocated."""
+
+
+def check_qubit_count(m: int, limit: int = MAX_QUBITS, what: str = "a state") -> None:
+    """Raise :class:`QubitLimitError` when ``m`` qubits exceed ``limit``."""
+    if m > limit:
+        raise QubitLimitError(f"{what} is limited to {limit} qubits, got {m}")
 
 
 def _complex_vector(values, *, what: str) -> np.ndarray:
@@ -75,6 +89,7 @@ class MultiQubitState:
     def __post_init__(self) -> None:
         if not isinstance(self.num_qubits, (int, np.integer)) or self.num_qubits < 1:
             raise LengthMismatchError("num_qubits must be a positive integer")
+        check_qubit_count(self.num_qubits)
         amps = _complex_vector(self.amplitudes, what="amplitudes")
         expected = 1 << int(self.num_qubits)
         if amps.size != expected:
@@ -209,6 +224,7 @@ def named_state(name: str) -> MultiQubitState:
         m = int(match.group(1))
         if m < 2:
             raise UnknownNameError("ghz requires at least 2 qubits")
+        check_qubit_count(m)
         amps = np.zeros(1 << m, dtype=complex)
         amps[0] = amps[-1] = 1.0
         return make_state(m, amps, normalize=True)
@@ -250,6 +266,7 @@ def state_from_dict(data) -> MultiQubitState:
     qubits = data["qubits"]
     if not isinstance(qubits, int) or isinstance(qubits, bool) or qubits < 1:
         raise SchemaError('"qubits" must be a positive integer')
+    check_qubit_count(qubits)
     if "amplitudes" not in data:
         raise SchemaError('missing field "amplitudes"')
     raw = data["amplitudes"]

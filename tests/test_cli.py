@@ -6,7 +6,16 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qtoric import named_state, state_to_dict
+from qtoric import (
+    max_segre_residual,
+    named_state,
+    relation_residual,
+    segre_relations,
+    state_from_dict,
+    state_to_dict,
+)
+from qtoric.cli import _fmt, main
+from helpers import random_product_state, random_state
 
 STATE_SCHEMA = {
     "type": "object",
@@ -134,6 +143,53 @@ def test_analyze_directory_jobs(tmp_path):
         assert report["separable"] is False
 
 
+def test_analyze_directory_bad_file(tmp_path, broken_file):
+    # broken_file sits in tmp_path next to a good file and a one-qubit file,
+    # which reads but cannot be analyzed: each gets a record of its own.
+    (tmp_path / "a_bell.json").write_text(json.dumps(state_to_dict(named_state("bell"))))
+    (tmp_path / "c_one.json").write_text(json.dumps({"qubits": 1, "amplitudes": [[1, 0], [0, 0]]}))
+    result = run_cli("analyze", str(tmp_path), "--format", "json")
+    assert result.returncode == 2
+    assert result.stderr == "qtoric: error: 2 of 3 files failed\n"
+    good, bad, one = json.loads(result.stdout)
+    assert good["path"] == "a_bell.json"
+    jsonschema.validate(good, REPORT_SCHEMA)
+    assert bad == {"path": "broken.json", "error": "expected 8 amplitudes, found 7"}
+    assert one == {"path": "c_one.json", "error": "analysis needs at least 2 qubits"}
+
+    result = run_cli("analyze", str(tmp_path))
+    assert result.returncode == 2
+    assert result.stdout.startswith("== a_bell.json\nqubits: 2\n")
+    assert result.stdout.endswith(
+        "\n\n== broken.json\nerror: expected 8 amplitudes, found 7"
+        "\n\n== c_one.json\nerror: analysis needs at least 2 qubits\n"
+    )
+
+
+def test_analyze_directory_all_good_quiet(tmp_path):
+    (tmp_path / "bell.json").write_text(json.dumps(state_to_dict(named_state("bell"))))
+    result = run_cli("analyze", str(tmp_path))
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert result.stdout.startswith("== bell.json\nqubits: 2\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--state", "ghz40"),
+        ("analyze", "--state", "01" * 20),
+        ("segre", "-m", "12", "--list"),
+    ],
+)
+def test_qubit_caps_exit_2(argv):
+    # Refused before anything of the requested size is allocated.
+    result = run_cli(*argv, timeout=60)
+    assert result.returncode == 2
+    assert "limited to" in result.stderr
+    assert result.stdout == ""
+
+
 # --- segre ----------------------------------------------------------------------
 
 
@@ -159,6 +215,71 @@ def test_segre_state_residuals():
 def test_segre_m1_usage_error():
     result = run_cli("segre", "-m", "1", "--list")
     assert result.returncode == 1
+
+
+def _cli_stdout(capsys, *argv) -> str:
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def _relation_row(relation) -> dict:
+    return {
+        "lhs": [relation.bitstring(i) for i in relation.lhs],
+        "rhs": [relation.bitstring(i) for i in relation.rhs],
+        "swap_axis": relation.swap_axis,
+        "text": str(relation),
+    }
+
+
+@pytest.mark.parametrize("m", [4, 7])
+def test_segre_list_json_is_json_dumps(capsys, m):
+    # m = 7 has 13,440 rows, more than one block of the row writer.
+    payload = {"m": m, "relations": [_relation_row(r) for r in segre_relations(m)]}
+    out = _cli_stdout(capsys, "segre", "-m", str(m), "--list", "--format", "json")
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_segre_state_json_is_json_dumps(capsys):
+    state = named_state("ghz4")
+    payload = {
+        "m": 4,
+        "relations": [
+            {**_relation_row(r), "residual": relation_residual(state, r)}
+            for r in segre_relations(4)
+        ],
+        "max_residual": max_segre_residual(state),
+    }
+    out = _cli_stdout(capsys, "segre", "--state", "ghz4", "--format", "json")
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_segre_text_is_relation_str(capsys):
+    for m in (3, 7):
+        out = _cli_stdout(capsys, "segre", "-m", str(m), "--list")
+        assert out == "\n".join(str(r) for r in segre_relations(m)) + "\n"
+
+    state = named_state("w3")
+    lines = [f"{r}   residual = {_fmt(relation_residual(state, r))}" for r in segre_relations(3)]
+    lines.append(f"max residual = {_fmt(max_segre_residual(state))}")
+    out = _cli_stdout(capsys, "segre", "--state", "w3")
+    assert out == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("m", [5, 6, 7])
+def test_segre_residual_column_matches_relation_residual(capsys, tmp_path, m):
+    # The CLI multiplies the gathered amplitude columns as arrays, which may
+    # round differently from relation_residual's scalars in the last bit.
+    rng = np.random.default_rng(40 + m)
+    for k, state in enumerate((random_state(rng, m), random_product_state(rng, m))):
+        path = tmp_path / f"s{k}.json"
+        path.write_text(json.dumps(state_to_dict(state)))
+        read = state_from_dict(json.loads(path.read_text()))
+        rows = json.loads(_cli_stdout(capsys, "segre", str(path), "--format", "json"))
+        relations = segre_relations(m)
+        assert [row["text"] for row in rows["relations"]] == [str(r) for r in relations]
+        for row, relation in zip(rows["relations"], relations):
+            assert abs(row["residual"] - relation_residual(read, relation)) <= 1e-16
+        assert rows["max_residual"] == max_segre_residual(read)
 
 
 # --- moment -----------------------------------------------------------------------

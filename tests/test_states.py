@@ -4,11 +4,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qtoric import (
+    MAX_QUBITS,
     DimensionMismatchError,
     EmptyFactorListError,
     LengthMismatchError,
+    MultiQubitState,
     NonFiniteAmplitudeError,
     QubitFactor,
+    QubitLimitError,
     UnknownNameError,
     ZeroStateError,
     bits_to_index,
@@ -161,6 +164,19 @@ def test_named_state_unknown():
         named_state("nope")
     with pytest.raises(UnknownNameError):
         named_state("ghz1")
+
+
+def test_qubit_cap_checked_before_allocation():
+    # Each check must come before the amplitudes are read or allocated: the
+    # amplitudes below are not even parseable, and 2^40 of them would not fit.
+    too_many = MAX_QUBITS + 1
+    with pytest.raises(QubitLimitError, match=f"limited to {MAX_QUBITS} qubits"):
+        MultiQubitState(too_many, None)
+    with pytest.raises(QubitLimitError):
+        state_from_dict({"qubits": too_many, "amplitudes": "not parsed"})
+    with pytest.raises(QubitLimitError):
+        named_state("ghz40")
+    assert named_state(f"ghz{MAX_QUBITS}").amplitudes.size == 1 << MAX_QUBITS
 
 
 @given(st.integers(min_value=1, max_value=10), st.data())

@@ -11,7 +11,9 @@ from qtoric import (
     ExponentSet,
     IndexOutOfRangeError,
     LatticePolytope,
+    MAX_RELATION_QUBITS,
     MultiQubitState,
+    QubitLimitError,
     RedundantVertexError,
     UnsupportedPolytopeError,
     WrongQubitCountError,
@@ -22,6 +24,7 @@ from qtoric import (
     named_state,
     normal_fan_box,
     relation_residual,
+    relation_table,
     segre_relations,
     unit_cube_exponents,
     verify_beta_balance,
@@ -47,6 +50,25 @@ def _enumerate_relations_by_hand(m):
                     if swapped != pair:
                         seen.add(tuple(sorted((pair, swapped))))
     return seen
+
+
+def _canonical_relation_rows(m):
+    """Reference enumeration of the canonical table, one index pair at a time.
+
+    Every pair x < y and axis j with differing bits gives the bit-j swap,
+    unless the pair differs in bit j alone; both sides are sorted, the smaller
+    pair goes left, and the first axis that gives a relation is kept.
+    """
+    canonical = {}
+    for x, y in itertools.combinations(range(1 << m), 2):
+        differing = x ^ y
+        for j in range(1, m + 1):
+            bit = 1 << (j - 1)
+            if differing & bit and differing != bit:
+                swapped = tuple(sorted((x ^ bit, y ^ bit)))
+                lhs, rhs = sorted(((x, y), swapped))
+                canonical.setdefault((lhs, rhs), j)
+    return [[*lhs, *rhs, axis] for (lhs, rhs), axis in sorted(canonical.items())]
 
 
 def _count_by_formula(m):
@@ -238,6 +260,24 @@ def test_relations_match_enumeration_oracle(m):
     assert len(relations) == RELATION_COUNTS[m] == _count_by_formula(m)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
+def test_relation_table_matches_pairwise_enumeration(m):
+    table = relation_table(m)
+    assert table.shape == (_count_by_formula(m), 5)
+    assert table.tolist() == _canonical_relation_rows(m)
+    assert [[*r.lhs, *r.rhs, r.swap_axis] for r in segre_relations(m)] == table.tolist()
+
+
+def test_relation_table_qubit_cap():
+    assert len(relation_table(2)) == 1
+    for m in (MAX_RELATION_QUBITS + 1, 40):
+        with pytest.raises(QubitLimitError):
+            relation_table(m)
+        with pytest.raises(QubitLimitError):
+            segre_relations(m)
+    assert issubclass(QubitLimitError, WrongQubitCountError)
+
+
 def test_relations_sorted_and_deterministic():
     relations = segre_relations(3)
     keys = [(r.lhs, r.rhs) for r in relations]
@@ -271,6 +311,18 @@ def test_relation_residual_ghz():
         r for r in segre_relations(3) if str(r) == "a[000]*a[111] = a[001]*a[110]"
     )
     assert abs(relation_residual(ghz, relation) - 0.5) <= 1e-12
+
+
+def test_relation_residual_bit_identical_to_vector_division():
+    # Only four amplitudes are divided by the norm, but each must come out
+    # exactly as it does from dividing the whole vector.
+    rng = np.random.default_rng(35)
+    for state in (random_state(rng, 5), MultiQubitState(5, 3e5 * random_state(rng, 5).amplitudes)):
+        a = state.amplitudes / state.norm
+        for r in segre_relations(5):
+            x, y = r.lhs
+            u, v = r.rhs
+            assert relation_residual(state, r) == float(abs(a[x] * a[y] - a[u] * a[v]))
 
 
 def test_relation_residual_dimension_mismatch():
