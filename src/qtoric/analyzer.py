@@ -20,7 +20,13 @@ from .moment import moment_product
 from .states import MultiQubitState, QubitFactor, inner_product, segre_embed
 from .toric import max_segre_residual
 
-__all__ = ["AnalysisReport", "extract_factors", "analyze"]
+__all__ = [
+    "AnalysisReport",
+    "extract_factors",
+    "analyze",
+    "applicable_measures",
+    "measures_to_dict",
+]
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -52,19 +58,13 @@ class AnalysisReport:
             factors = [
                 [[f.a0.real, f.a0.imag], [f.a1.real, f.a1.imag]] for f in self.factors
             ]
-        measures = {}
-        for name, value in self.measures.items():
-            if isinstance(value, complex):
-                measures[name] = [value.real, value.imag]
-            else:
-                measures[name] = float(value)
         return {
             "qubits": self.num_qubits,
             "separable": self.separable,
             "max_residual": self.max_residual,
             "factors": factors,
             "moment_image": None if self.moment_image is None else [float(t) for t in self.moment_image],
-            "measures": measures,
+            "measures": measures_to_dict(self.measures),
             "tolerance": self.tolerance,
         }
 
@@ -119,12 +119,20 @@ def analyze(state: MultiQubitState, tol: float = DEFAULT_TOLERANCE) -> AnalysisR
         max_residual=max_residual,
         factors=factors,
         moment_image=moment_image,
-        measures=_applicable_measures(state),
+        measures=applicable_measures(state),
         tolerance=float(tol),
     )
 
 
-def _applicable_measures(state: MultiQubitState) -> dict[str, float | complex]:
+def applicable_measures(state: MultiQubitState) -> dict[str, float | complex]:
+    """The entanglement measures defined for the state's qubit count.
+
+    The one measure table of the package: the concurrence at m = 2, the
+    three-tangle at m = 3, the m-tangle with H, I1 and the epsilon
+    four-tangle at m = 4, the m-tangle at even m >= 6, and nothing otherwise.
+    """
+    # The measures are looked up as module globals at call time, so a caller
+    # that patches them here (a tracer) sees every call.
     m = state.num_qubits
     measures: dict[str, float | complex] = {}
     if m == 2:
@@ -136,8 +144,15 @@ def _applicable_measures(state: MultiQubitState) -> dict[str, float | complex]:
         measures["m_tangle"] = report.tau4_spinflip
         measures["H"] = report.h
         measures["I1"] = report.i1
-        measures["tau4_spinflip"] = report.tau4_spinflip
         measures["tau4_epsilon"] = report.tau4_epsilon
     elif m % 2 == 0:
         measures["m_tangle"] = m_tangle(state)
     return measures
+
+
+def measures_to_dict(measures: dict[str, float | complex]) -> dict:
+    """JSON form of a measure table: complex values as ``[re, im]`` pairs."""
+    return {
+        name: [value.real, value.imag] if isinstance(value, complex) else float(value)
+        for name, value in measures.items()
+    }

@@ -28,15 +28,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analyzer import AnalysisReport, DEFAULT_TOLERANCE, analyze, extract_factors
-from .errors import QToricError, UnknownNameError
-from .measures import check_tau4_identities, concurrence, m_tangle, three_tangle
+from .analyzer import (
+    AnalysisReport,
+    DEFAULT_TOLERANCE,
+    analyze,
+    applicable_measures,
+    extract_factors,
+    measures_to_dict,
+)
+from .errors import QToricError, SchemaError, WrongQubitCountError
+from .measures import check_tau4_identities
 from .moment import BoxPolytope, in_polytope, moment_product, moment_projective
 from .states import (
     MultiQubitState,
     QubitFactor,
-    check_qubit_count,
-    make_state,
     named_state,
     parse_complex_pair,
     point_from_dict,
@@ -54,16 +59,15 @@ from .toric import relation_residual, segre_relations  # noqa: F401
 __all__ = ["main", "build_parser"]
 
 
-class _UsageError(Exception):
-    pass
+class _CliError(Exception):
+    """A usage error (exit code 1) or a domain error (exit code 3).
 
+    Input errors are the library's :class:`QToricError` and exit with 2.
+    """
 
-class _InputError(Exception):
-    pass
-
-
-class _DomainError(Exception):
-    pass
+    def __init__(self, message: str, code: int) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,41 +104,21 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise QToricError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _InputError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _state_from_file(path: str) -> MultiQubitState:
-    try:
-        return state_from_dict(_load_json(path))
-    except QToricError as exc:
-        raise _InputError(str(exc)) from exc
-
-
-def _fixture_state(name: str) -> MultiQubitState:
-    if name and set(name) <= {"0", "1"}:
-        check_qubit_count(len(name))
-        index = int(name, 2)
-        amplitudes = [0.0] * (1 << len(name))
-        amplitudes[index] = 1.0
-        return make_state(len(name), amplitudes)
-    try:
-        return named_state(name)
-    except UnknownNameError as exc:
-        raise _InputError(str(exc)) from exc
+        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _resolve_state(args) -> MultiQubitState:
     path = getattr(args, "path", None)
     name = getattr(args, "state", None)
     if path and name:
-        raise _UsageError("give either a state file or --state, not both")
+        raise _CliError("give either a state file or --state, not both", code=1)
     if name:
-        return _fixture_state(name)
+        return named_state(name)
     if path:
-        return _state_from_file(path)
-    raise _UsageError("a state is required: pass a JSON file or --state <name>")
+        return state_from_dict(_load_json(path))
+    raise _CliError("a state is required: pass a JSON file or --state <name>", code=1)
 
 
 def _emit(args, text) -> None:
@@ -201,10 +185,7 @@ def _cmd_analyze(args) -> int:
     target = getattr(args, "path", None)
     if target and Path(target).is_dir():
         return _analyze_directory(args, target)
-    state = _resolve_state(args)
-    if state.num_qubits < 2:
-        raise _InputError("analyze needs a state of at least 2 qubits")
-    report = analyze(state, args.tol)
+    report = analyze(_resolve_state(args), args.tol)
     if args.format == "json":
         _emit_json(args, report.to_dict())
     else:
@@ -216,15 +197,15 @@ def _analyze_directory(args, target: str) -> int:
     """One report per state file; a file that fails gets an error record instead."""
     files = sorted(Path(target).glob("*.json"))
     if not files:
-        raise _InputError(f"no .json state files in {target}")
+        raise QToricError(f"no .json state files in {target}")
 
     # Files are read here and analyzed in the pool; a file that fails at
     # either step is carried on as its error message.
     outcomes: list = []
     for path in files:
         try:
-            outcomes.append(_state_from_file(str(path)))
-        except _InputError as exc:
+            outcomes.append(state_from_dict(_load_json(str(path))))
+        except QToricError as exc:
             outcomes.append(str(exc))
 
     def run(outcome):
@@ -264,15 +245,15 @@ def _analyze_directory(args, target: str) -> int:
 def _cmd_segre(args) -> int:
     if args.list:
         if args.m is None:
-            raise _UsageError("segre --list requires -m")
+            raise _CliError("segre --list requires -m", code=1)
         if args.m < 2:
-            raise _UsageError("segre needs m >= 2")
+            raise _CliError("segre needs m >= 2", code=1)
         m, residuals, largest = args.m, None, None
         table = relation_table(m)
     else:
         state = _resolve_state(args)
         if state.num_qubits < 2:
-            raise _InputError("segre residuals need a state of at least 2 qubits")
+            raise WrongQubitCountError("segre residuals need a state of at least 2 qubits")
         m = state.num_qubits
         table = relation_table(m)
         a = state.amplitudes / state.norm
@@ -348,17 +329,13 @@ def _cmd_moment(args) -> int:
     if args.projective:
         path = getattr(args, "path", None)
         if not path:
-            raise _UsageError("--projective requires a point JSON file")
-        try:
-            point = point_from_dict(_load_json(path))
-        except QToricError as exc:
-            raise _InputError(str(exc)) from exc
-        image = moment_projective(point)
+            raise _CliError("--projective requires a point JSON file", code=1)
+        image = moment_projective(point_from_dict(_load_json(path)))
     else:
         state = _resolve_state(args)
         factors = extract_factors(state, args.tol)
         if factors is None:
-            raise _DomainError("state is not a product; moment map undefined")
+            raise _CliError("state is not a product; moment map undefined", code=3)
         image = moment_product(factors)
     box = BoxPolytope.moment_box(len(image))
     inside = in_polytope(image, box, args.tol)
@@ -387,28 +364,22 @@ def _cmd_moment(args) -> int:
 
 def _cmd_tangle(args) -> int:
     state = _resolve_state(args)
-    m = state.num_qubits
-    measures: dict[str, float] = {}
-    if m == 2:
-        measures["concurrence"] = concurrence(state)
-        measures["m_tangle"] = m_tangle(state)
-    elif m == 3:
-        measures["three_tangle"] = three_tangle(state)
-    elif m % 2 == 0:
-        measures["m_tangle"] = m_tangle(state)
-    else:
-        raise _DomainError(f"no tangle defined for a {m}-qubit state")
+    measures = applicable_measures(state)
+    if not measures:
+        raise _CliError(f"no tangle defined for a {state.num_qubits}-qubit state", code=3)
     if args.format == "json":
-        _emit_json(args, {"qubits": m, "measures": measures})
+        _emit_json(args, {"qubits": state.num_qubits, "measures": measures_to_dict(measures)})
     else:
-        _emit(args, "\n".join(f"{k} = {_fmt(v)}" for k, v in measures.items()))
+        _emit(args, "\n".join(f"{k} = {_measure_text(v)}" for k, v in measures.items()))
     return 0
 
 
 def _cmd_invariants(args) -> int:
     state = _resolve_state(args)
     if state.num_qubits != 4:
-        raise _InputError(f"invariants needs a 4-qubit state, got {state.num_qubits} qubits")
+        raise WrongQubitCountError(
+            f"invariants needs a 4-qubit state, got {state.num_qubits} qubits"
+        )
     report = check_tau4_identities(state)
     if args.format == "json":
         _emit_json(args, report.to_dict())
@@ -436,9 +407,9 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_polytope(args) -> int:
     if args.m is None:
-        raise _UsageError("polytope requires -m")
+        raise _CliError("polytope requires -m", code=1)
     if args.m < 1:
-        raise _UsageError("polytope needs m >= 1")
+        raise _CliError("polytope needs m >= 1", code=1)
     polytope = cube(args.m, args.variant)
     payload: dict = {
         "shape": "cube",
@@ -486,20 +457,17 @@ def _cmd_polytope(args) -> int:
 def _factors_from_file(path: str) -> list[QubitFactor]:
     data = _load_json(path)
     if not isinstance(data, dict) or "factors" not in data:
-        raise _InputError('factor JSON must be an object with a "factors" field')
+        raise SchemaError('factor JSON must be an object with a "factors" field')
     raw = data["factors"]
     if not isinstance(raw, list) or not raw:
-        raise _InputError('"factors" must be a nonempty array')
+        raise SchemaError('"factors" must be a nonempty array')
     factors = []
-    try:
-        for i, entry in enumerate(raw):
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise _InputError(f'"factors[{i}]" must be an [a0, a1] pair')
-            a0 = parse_complex_pair(entry[0], f"factors[{i}][0]")
-            a1 = parse_complex_pair(entry[1], f"factors[{i}][1]")
-            factors.append(QubitFactor(a0, a1))
-    except QToricError as exc:
-        raise _InputError(str(exc)) from exc
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise SchemaError(f'"factors[{i}]" must be an [a0, a1] pair')
+        a0 = parse_complex_pair(entry[0], f"factors[{i}][0]")
+        a1 = parse_complex_pair(entry[1], f"factors[{i}][1]")
+        factors.append(QubitFactor(a0, a1))
     return factors
 
 
@@ -603,19 +571,9 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.run(args)
-    except _UsageError as exc:
+    except (_CliError, QToricError) as exc:
         print(f"qtoric: error: {exc}", file=sys.stderr)
-        return 1
-    except _InputError as exc:
-        print(f"qtoric: error: {exc}", file=sys.stderr)
-        return 2
-    except QToricError as exc:
-        # Library-level validation surfacing through a command contract.
-        print(f"qtoric: error: {exc}", file=sys.stderr)
-        return 2
-    except _DomainError as exc:
-        print(f"qtoric: error: {exc}", file=sys.stderr)
-        return 3
+        return getattr(exc, "code", 2)
 
 
 if __name__ == "__main__":

@@ -211,8 +211,14 @@ _GHZ_NAME = re.compile(r"^ghz(\d+)$")
 
 
 def named_state(name: str) -> MultiQubitState:
-    """Fixture states by name: ``bell``, ``ghz<m>`` (m >= 2), ``w3``."""
+    """Fixture states by name: ``bell``, ``ghz<m>`` (m >= 2), ``w3``, or a
+    bitstring such as ``01`` for a computational basis state."""
     key = name.strip().lower()
+    if re.fullmatch("[01]+", key):
+        check_qubit_count(len(key))
+        amps = np.zeros(1 << len(key), dtype=complex)
+        amps[int(key, 2)] = 1.0
+        return make_state(len(key), amps)
     if key == "bell":
         key = "ghz2"
     if key == "w3":

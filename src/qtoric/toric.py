@@ -42,7 +42,7 @@ from .errors import (
     UnsupportedPolytopeError,
     WrongQubitCountError,
 )
-from .states import MultiQubitState, check_qubit_count
+from .states import MAX_QUBITS, MultiQubitState, check_qubit_count
 
 __all__ = [
     "LatticePolytope",
@@ -139,6 +139,9 @@ def cube(m: int, variant: str = "centered") -> LatticePolytope:
     """The m-cube: ``centered`` has vertices (+-1, ..., +-1), ``unit`` {0,1}^m."""
     if m < 1:
         raise UnsupportedPolytopeError("cube dimension must be at least 1")
+    # The moment polytope of an m-qubit state is the m-cube, so no larger
+    # cube has a use; the vertices, points and cones grow as 2^m and 3^m.
+    check_qubit_count(m, MAX_QUBITS, "the cube dimension")
     if variant == "centered":
         values = (-1, 1)
     elif variant == "unit":

@@ -1,8 +1,11 @@
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qtoric
 from qtoric import (
     MultiQubitState,
     QubitFactor,
@@ -94,6 +97,23 @@ def test_analyze_odd_m_beyond_three_has_no_measures():
     report = analyze(random_product_state(rng, 5))
     assert report.separable
     assert report.measures == {}
+
+
+def test_benchmark_tracer_sees_every_measure(monkeypatch):
+    # benchmarks/tracer.py patches the measures where analyze looks them up;
+    # a table that held the function objects would hide every call from it.
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "benchmarks"))
+    tracer = importlib.import_module("tracer").Tracer()
+    tracer.install()  # resolves every TRACED name
+    try:
+        tracer.enabled = True
+        for name in ("bell", "ghz3", "ghz4", "ghz6"):
+            qtoric.analyze(named_state(name))
+    finally:
+        tracer.uninstall()
+    recorded = {span[0] for span in tracer.spans}
+    for name in ("concurrence", "three_tangle", "tau4_identities", "m_tangle"):
+        assert f"measures.{name}" in recorded
 
 
 def test_analyze_rejects_single_qubit():

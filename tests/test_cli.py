@@ -180,6 +180,7 @@ def test_analyze_directory_all_good_quiet(tmp_path):
         ("analyze", "--state", "ghz40"),
         ("analyze", "--state", "01" * 20),
         ("segre", "-m", "12", "--list"),
+        ("polytope", "cube", "-m", "13", "--fan"),
     ],
 )
 def test_qubit_caps_exit_2(argv):
@@ -323,6 +324,30 @@ def test_tangle_ghz3():
 def test_tangle_odd_m_beyond_three_is_domain_error():
     result = run_cli("tangle", "--state", "ghz5")
     assert result.returncode == 3
+
+
+@pytest.mark.parametrize("source", ["0", "bell", "ghz3", "ghz4", "ghz5", "ghz6", 2, 3, 4])
+def test_tangle_prints_the_analyze_measures(source, tmp_path, capsys):
+    # A name is a fixture; a qubit count stands for a random state file.
+    if isinstance(source, str):
+        argv = ["--state", source]
+    else:
+        path = tmp_path / "state.json"
+        state = random_state(np.random.default_rng(90 + source), source)
+        path.write_text(json.dumps(state_to_dict(state)))
+        argv = [str(path)]
+    code = main(["analyze", *argv, "--format", "json"])
+    analyzed = capsys.readouterr()
+    measures = json.loads(analyzed.out)["measures"] if code == 0 else {}
+    assert code == (2 if source == "0" else 0), analyzed.err
+    code = main(["tangle", *argv, "--format", "json"])
+    tangled = capsys.readouterr()
+    if not measures:
+        assert code == 3 and tangled.out == ""
+        return
+    assert code == 0
+    assert json.loads(tangled.out)["measures"] == measures
+    assert "tau4_spinflip" not in measures
 
 
 def test_invariants_ghz4():

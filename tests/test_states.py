@@ -158,12 +158,17 @@ def test_named_states():
 
     assert np.array_equal(named_state("bell").amplitudes, named_state("ghz2").amplitudes)
 
+    assert np.array_equal(named_state("01").amplitudes, [0, 1, 0, 0])
+    assert np.array_equal(named_state("0").amplitudes, [1, 0])
+
 
 def test_named_state_unknown():
     with pytest.raises(UnknownNameError):
         named_state("nope")
     with pytest.raises(UnknownNameError):
         named_state("ghz1")
+    with pytest.raises(QubitLimitError):
+        named_state("0" * (MAX_QUBITS + 1))
 
 
 def test_qubit_cap_checked_before_allocation():
