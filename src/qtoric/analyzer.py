@@ -5,6 +5,11 @@ within tolerance and a factorization is recovered; the recovered factors
 then place the state on the moment polytope. Entangled states keep the
 residual as their certificate and the applicable entanglement measures are
 reported either way.
+
+:func:`analyze` takes one state and calls each stage through its public
+function; it is the reference route. :func:`analyze_many` takes many states
+of one qubit count as the rows of an array and computes each quantity once
+over the batch.
 """
 
 from __future__ import annotations
@@ -14,16 +19,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WrongQubitCountError
-from .measures import check_tau4_identities, concurrence, m_tangle, three_tangle
+from .errors import (
+    LengthMismatchError,
+    NonFiniteAmplitudeError,
+    WrongQubitCountError,
+    ZeroStateError,
+)
+from .measures import (
+    _h_sum,
+    _hyperdet3,
+    _i1_rows,
+    _m_tangle_rows,
+    _tau4_contraction,
+    check_tau4_identities,
+    concurrence,
+    m_tangle,
+    three_tangle,
+)
 from .moment import moment_product
-from .states import MultiQubitState, QubitFactor, inner_product, segre_embed
-from .toric import max_segre_residual
+from .states import (
+    MultiQubitState,
+    QubitFactor,
+    _product_amplitudes,
+    check_qubit_count,
+    inner_product,
+    segre_embed,
+)
+from .toric import largest_minors, max_segre_residual
 
 __all__ = [
     "AnalysisReport",
     "extract_factors",
     "analyze",
+    "analyze_many",
     "applicable_measures",
     "measures_to_dict",
 ]
@@ -124,6 +152,65 @@ def analyze(state: MultiQubitState, tol: float = DEFAULT_TOLERANCE) -> AnalysisR
     )
 
 
+def analyze_many(amplitudes, tol: float = DEFAULT_TOLERANCE) -> list[AnalysisReport]:
+    """Run the full pipeline on each row of an (N, 2^m) array of amplitudes.
+
+    The rows are states of m qubits; they need not be normalized, but must
+    be finite and nonzero. The reports are those of :func:`analyze` on the
+    rows, up to rounding.
+    """
+    batch = np.asarray(amplitudes, dtype=complex)
+    size = batch.shape[-1] if batch.ndim == 2 else 0
+    if size < 1 or size & (size - 1):
+        raise LengthMismatchError(
+            f"amplitudes must form an (N, 2^m) array, got shape {batch.shape}"
+        )
+    m = size.bit_length() - 1
+    if m < 2:
+        raise WrongQubitCountError("analysis needs at least 2 qubits")
+    check_qubit_count(m)
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
+    if not np.isfinite(batch).all():
+        raise NonFiniteAmplitudeError("amplitudes contain NaN or infinite entries")
+    if not batch.any(axis=1).all():
+        raise ZeroStateError("the zero vector does not define a state")
+    scale = np.abs(batch).max(axis=1, keepdims=True)
+    unit = batch / (scale * np.linalg.norm(batch / scale, axis=1, keepdims=True))
+    residuals = largest_minors(unit)
+
+    # Pivot extraction, as in extract_factors: factor j is read off the pair
+    # at the pivot index with bit j cleared and set.
+    pivot = np.abs(unit).argmax(axis=1)[:, None]
+    bits = 1 << np.arange(m - 1, -1, -1)  # ket order: most significant bit first
+    a0 = np.take_along_axis(unit, pivot & ~bits, axis=1)
+    a1 = np.take_along_axis(unit, pivot | bits, axis=1)
+    w0, w1 = np.abs(a0) ** 2, np.abs(a1) ** 2
+    image = -0.5 * (w1 / (w0 + w1)) + 0.0  # moment_projective of each factor
+    length = np.sqrt(w0 + w1)
+    a0, a1 = a0 / length, a1 / length
+    embedded = _product_amplitudes(np.stack([a0, a1], axis=2))
+    overlap = np.sum(np.conj(embedded) * unit, axis=1)
+    phase = overlap / np.where(overlap == 0, 1.0, np.abs(overlap))
+    error = np.linalg.norm(unit - phase[:, None] * embedded, axis=1)
+    separable = (residuals <= tol) & (overlap != 0) & (error <= 10.0 * tol)
+
+    measures = {name: values.tolist() for name, values in _measures_many(unit).items()}
+    residuals, a0, a1 = residuals.tolist(), a0.tolist(), a1.tolist()
+    return [
+        AnalysisReport(
+            num_qubits=m,
+            separable=ok,
+            max_residual=residuals[i],
+            factors=tuple(map(QubitFactor, a0[i], a1[i])) if ok else None,
+            moment_image=image[i] if ok else None,
+            measures={name: values[i] for name, values in measures.items()},
+            tolerance=float(tol),
+        )
+        for i, ok in enumerate(separable.tolist())
+    ]
+
+
 def applicable_measures(state: MultiQubitState) -> dict[str, float | complex]:
     """The entanglement measures defined for the state's qubit count.
 
@@ -148,6 +235,29 @@ def applicable_measures(state: MultiQubitState) -> dict[str, float | complex]:
     elif m % 2 == 0:
         measures["m_tangle"] = m_tangle(state)
     return measures
+
+
+def _measures_many(unit: np.ndarray) -> dict[str, np.ndarray]:
+    """:func:`applicable_measures` of each row of an (N, 2^m) array of unit vectors.
+
+    The same table as :func:`applicable_measures`, in the same order, from
+    the batch forms of the measures.
+    """
+    m = unit.shape[1].bit_length() - 1
+    if m == 2:
+        return {"concurrence": _m_tangle_rows(unit)}
+    if m == 3:
+        return {"three_tangle": 4.0 * np.abs(_hyperdet3(unit))}
+    if m == 4:
+        return {
+            "m_tangle": _m_tangle_rows(unit),
+            "H": _h_sum(unit),
+            "I1": _i1_rows(unit),
+            "tau4_epsilon": 2.0 * np.abs(_tau4_contraction(unit)),
+        }
+    if m % 2 == 0:
+        return {"m_tangle": _m_tangle_rows(unit)}
+    return {}
 
 
 def measures_to_dict(measures: dict[str, float | complex]) -> dict:

@@ -22,7 +22,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +31,7 @@ from .analyzer import (
     AnalysisReport,
     DEFAULT_TOLERANCE,
     analyze,
+    analyze_many,
     applicable_measures,
     extract_factors,
     measures_to_dict,
@@ -45,6 +45,7 @@ from .states import (
     named_state,
     parse_complex_pair,
     point_from_dict,
+    read_state_fields,
     segre_embed,
     state_from_dict,
     state_to_dict,
@@ -199,25 +200,26 @@ def _analyze_directory(args, target: str) -> int:
     if not files:
         raise QToricError(f"no .json state files in {target}")
 
-    # Files are read here and analyzed in the pool; a file that fails at
-    # either step is carried on as its error message.
-    outcomes: list = []
-    for path in files:
+    # Every file is read and validated first; the good ones are analyzed in
+    # one batch per qubit count. A file that fails at either step is carried
+    # on as its error message.
+    outcomes: list = [None] * len(files)
+    groups: dict[int, list] = {}
+    for k, path in enumerate(files):
         try:
-            outcomes.append(state_from_dict(_load_json(str(path))))
+            state = MultiQubitState(*read_state_fields(_load_json(str(path))))
         except QToricError as exc:
-            outcomes.append(str(exc))
-
-    def run(outcome):
-        if isinstance(outcome, str):
-            return outcome
+            outcomes[k] = str(exc)
+        else:
+            groups.setdefault(state.num_qubits, []).append((k, state.amplitudes))
+    for members in groups.values():
+        positions, rows = zip(*members)
         try:
-            return analyze(outcome, args.tol)
+            results = analyze_many(np.stack(rows), args.tol)
         except QToricError as exc:
-            return str(exc)
-
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        outcomes = list(pool.map(run, outcomes))
+            results = [str(exc)] * len(positions)
+        for k, result in zip(positions, results):
+            outcomes[k] = result
     failed = sum(isinstance(o, str) for o in outcomes)
     if args.format == "json":
         records = [
@@ -504,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze", parents=[common], help="separability report for a state (or a directory)"
     )
     analyze_p.add_argument("path", nargs="?", help="state JSON file or directory")
-    analyze_p.add_argument("--jobs", type=int, default=1, help="workers for directory input")
     analyze_p.set_defaults(run=_cmd_analyze)
 
     segre_p = commands.add_parser(

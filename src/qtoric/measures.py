@@ -88,6 +88,13 @@ def m_tangle(state: MultiQubitState) -> float:
     return float(abs(inner_product(unit, spin_flip(unit))) ** 2)
 
 
+def _m_tangle_rows(unit: np.ndarray) -> np.ndarray:
+    """:func:`m_tangle` of each row of an (N, 2^m) array of unit vectors, m even."""
+    m = unit.shape[1].bit_length() - 1
+    flipped = _flip_coefficients(m) * np.conj(unit[:, ::-1])
+    return np.abs(np.sum(np.conj(unit) * flipped, axis=1)) ** 2
+
+
 def concurrence(state: MultiQubitState) -> float:
     """Two-qubit concurrence ``|<s|~s>|^2``; 1 on Bell states, 0 on products."""
     if state.num_qubits != 2:
@@ -95,26 +102,28 @@ def concurrence(state: MultiQubitState) -> float:
     return m_tangle(state)
 
 
-def _hyperdet3(a: np.ndarray) -> complex:
+def _hyperdet3(a: np.ndarray):
     # The three sums run over complementary index pairs of the 2x2x2 tensor:
     # squares of the four pair products, the six products of two distinct
-    # pairs, and the two odd/even four-cycles.
+    # pairs, and the two odd/even four-cycles. ``a`` is one vector, which
+    # unpacks into numpy scalars, or an (N, 8) batch, which unpacks into columns.
+    a0, a1, a2, a3, a4, a5, a6, a7 = a.T
     d1 = (
-        a[0] ** 2 * a[7] ** 2
-        + a[1] ** 2 * a[6] ** 2
-        + a[2] ** 2 * a[5] ** 2
-        + a[4] ** 2 * a[3] ** 2
+        a0 ** 2 * a7 ** 2
+        + a1 ** 2 * a6 ** 2
+        + a2 ** 2 * a5 ** 2
+        + a4 ** 2 * a3 ** 2
     )
     d2 = (
-        a[0] * a[7] * a[1] * a[6]
-        + a[0] * a[7] * a[2] * a[5]
-        + a[0] * a[7] * a[4] * a[3]
-        + a[1] * a[6] * a[2] * a[5]
-        + a[1] * a[6] * a[4] * a[3]
-        + a[2] * a[5] * a[4] * a[3]
+        a0 * a7 * a1 * a6
+        + a0 * a7 * a2 * a5
+        + a0 * a7 * a4 * a3
+        + a1 * a6 * a2 * a5
+        + a1 * a6 * a4 * a3
+        + a2 * a5 * a4 * a3
     )
-    d4 = a[0] * a[6] * a[5] * a[3] + a[7] * a[1] * a[2] * a[4]
-    return complex(d1 - 2 * d2 + 4 * d4)
+    d4 = a0 * a6 * a5 * a3 + a7 * a1 * a2 * a4
+    return d1 - 2 * d2 + 4 * d4
 
 
 def three_tangle(state: MultiQubitState) -> float:
@@ -142,8 +151,12 @@ def invariant_H(state: MultiQubitState) -> complex:
     """
     if state.num_qubits != 4:
         raise WrongQubitCountError(f"H needs 4 qubits, got {state.num_qubits}")
-    a = state.amplitudes
-    return complex(np.sum(_H_SIGNS * a[:8] * a[:7:-1]))
+    return complex(_h_sum(state.amplitudes))
+
+
+def _h_sum(a: np.ndarray):
+    """H of each length-16 amplitude vector along the last axis of ``a``."""
+    return np.sum(_H_SIGNS * a[..., :8] * a[..., :7:-1], axis=-1)
 
 
 def bilinear_g(u, v) -> complex:
@@ -152,7 +165,14 @@ def bilinear_g(u, v) -> complex:
     v = np.asarray(v, dtype=complex).reshape(-1)
     if u.size != 4 or v.size != 4:
         raise LengthMismatchError("the bilinear form takes two length-4 vectors")
-    return complex(u[0] * v[3] - u[1] * v[2] - u[2] * v[1] + u[3] * v[0])
+    return complex(_g(u, v))
+
+
+def _g(u: np.ndarray, v: np.ndarray):
+    # One pair of vectors, or a pair of (N, 4) batches row by row.
+    u0, u1, u2, u3 = u.T
+    v0, v1, v2, v3 = v.T
+    return u0 * v3 - u1 * v2 - u2 * v1 + u3 * v0
 
 
 class FourQubitVectors(NamedTuple):
@@ -177,15 +197,21 @@ def invariant_I1(state: MultiQubitState) -> complex:
     return 0.5 * (bilinear_g(blocks.a, blocks.d) - bilinear_g(blocks.b, blocks.c))
 
 
-def _tau4_contraction(amplitudes: np.ndarray) -> complex:
+def _i1_rows(unit: np.ndarray) -> np.ndarray:
+    """:func:`invariant_I1` of each row of an (N, 16) array."""
+    return 0.5 * (_g(unit[:, 0:4], unit[:, 12:16]) - _g(unit[:, 4:8], unit[:, 8:12]))
+
+
+def _tau4_contraction(amplitudes: np.ndarray):
     # The 2^16-term epsilon contraction with every term kept, summed in two
     # groups by associativity: p contracts the three high qubits of two
     # amplitude factors, and the pairs (k, l) and (m, n) give the same p. The
     # einsum reduction order is fixed, so repeated evaluations are
-    # bit-identical. Equals 2 H^2 as a complex number.
-    t = amplitudes.reshape(2, 2, 2, 2)
-    p = np.einsum("abcd,efgh,ae,bf,cg->dh", t, t, J, J, J)
-    return complex(np.einsum("dh,lp,dl,hp->", p, p, J, J))
+    # bit-identical. Equals 2 H^2 as a complex number, for each length-16
+    # vector along the last axis.
+    t = amplitudes.reshape(*amplitudes.shape[:-1], 2, 2, 2, 2)
+    p = np.einsum("...abcd,...efgh,ae,bf,cg->...dh", t, t, J, J, J)
+    return np.einsum("...dh,...lp,dl,hp->...", p, p, J, J)
 
 
 def tau4_epsilon_oracle(state: MultiQubitState) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +47,7 @@ __all__ = [
     "index_bits",
     "bits_to_index",
     "state_to_dict",
+    "read_state_fields",
     "state_from_dict",
     "point_to_dict",
     "point_from_dict",
@@ -194,8 +195,22 @@ def segre_embed(factors: Sequence[QubitFactor]) -> MultiQubitState:
     factors = list(factors)
     if not factors:
         raise EmptyFactorListError("need at least one factor")
-    amplitudes = reduce(np.kron, (f.as_array() for f in factors))
+    amplitudes = _product_amplitudes(np.array([(f.a0, f.a1) for f in factors]))
     return MultiQubitState(len(factors), amplitudes)
+
+
+def _product_amplitudes(factors: np.ndarray) -> np.ndarray:
+    """The Kronecker product of the m factors of a (..., m, 2) array, in ket order.
+
+    Formed by broadcasting, one factor at a time, over any leading batch axes:
+    the result is (..., 2^m).
+    """
+    amplitudes = factors[..., 0, :]
+    batch = factors.shape[:-2]
+    for position in range(1, factors.shape[-2]):
+        product = amplitudes[..., :, None] * factors[..., position, None, :]
+        amplitudes = product.reshape(*batch, 2 << position)
+    return amplitudes
 
 
 def inner_product(a: MultiQubitState, b: MultiQubitState) -> complex:
@@ -264,7 +279,12 @@ def state_to_dict(state: MultiQubitState) -> dict:
     }
 
 
-def state_from_dict(data) -> MultiQubitState:
+def read_state_fields(data) -> tuple[int, list[complex]]:
+    """The qubit count and the raw amplitudes of a state JSON object.
+
+    Checks every field of the schema, ``normalize`` included; the amplitudes
+    themselves are validated by :class:`MultiQubitState`.
+    """
     if not isinstance(data, dict):
         raise SchemaError("state JSON must be an object")
     if "qubits" not in data:
@@ -279,10 +299,14 @@ def state_from_dict(data) -> MultiQubitState:
     if not isinstance(raw, list):
         raise SchemaError('"amplitudes" must be an array of [re, im] pairs')
     amps = [parse_complex_pair(v, f"amplitudes[{i}]") for i, v in enumerate(raw)]
-    normalize = data.get("normalize", True)
-    if not isinstance(normalize, bool):
+    if not isinstance(data.get("normalize", True), bool):
         raise SchemaError('"normalize" must be a boolean')
-    return make_state(qubits, amps, normalize=normalize)
+    return qubits, amps
+
+
+def state_from_dict(data) -> MultiQubitState:
+    qubits, amps = read_state_fields(data)
+    return make_state(qubits, amps, normalize=data.get("normalize", True))
 
 
 def point_to_dict(point: ProjectivePoint) -> dict:

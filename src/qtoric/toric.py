@@ -15,7 +15,7 @@ significant bit.
 The relations on axis ``j`` are exactly the 2x2 minors of the flattening
 that splits qubit ``j`` from the rest, the 2 x 2^(m-1) matrix whose rows are
 the amplitudes with bit ``j`` clear and set (Landsberg, *Tensors: Geometry
-and Applications*, 2012). :func:`max_segre_residual` evaluates the minors
+and Applications*, 2012). :func:`largest_minors` evaluates the minors
 directly; :func:`relation_table` enumerates them as an integer array, and
 :func:`segre_relations` wraps its rows as objects.
 
@@ -62,6 +62,7 @@ __all__ = [
     "relation_table",
     "segre_relations",
     "relation_residual",
+    "largest_minors",
     "max_segre_residual",
     "verify_beta_balance",
 ]
@@ -541,22 +542,55 @@ def relation_residual(state: MultiQubitState, relation: BinomialRelation) -> flo
     return float(abs(a[x] / norm * (a[y] / norm) - a[u] / norm * (a[v] / norm)))
 
 
+_TILE = 256
+"""Side of the square blocks in which :func:`largest_minors` forms a minor
+matrix: 2^16 complex entries, 1 MB, per temporary."""
+
+
+def largest_minors(unit: np.ndarray) -> np.ndarray:
+    """Largest absolute 2x2 minor of the m single-qubit flattenings, per row.
+
+    ``unit`` is an (N, 2^m) array of unit-normalized amplitude vectors. With
+    ``r0`` and ``r1`` the two rows of a flattening, its minors are the entries
+    of ``d - d.T`` with ``d = outer(r0, r1)``. That matrix is antisymmetric,
+    so only its blocks on or above the diagonal are formed: the block of row
+    range I and column range J is ``outer(r0[I], r1[J]) - outer(r0[J], r1[I]).T``,
+    at most ``_TILE`` on a side. Below m = 10 the whole matrix is one block,
+    and the rows of a batch are taken together, as many as fill one block.
+    """
+    count, size = unit.shape
+    m = size.bit_length() - 1
+    n = size // 2
+    tile = min(n, _TILE)
+    per_block = max(1, _TILE * _TILE // (n * n))
+    worst = np.zeros(count)
+    for start in range(0, count, per_block):
+        rows = unit[start : start + per_block]
+        best = worst[start : start + per_block]
+        for position in range(m):  # ket order, most significant bit first
+            halves = rows.reshape(len(rows), 1 << position, 2, -1)
+            r0 = halves[:, :, 0].reshape(len(rows), n, 1)
+            r1 = halves[:, :, 1].reshape(len(rows), 1, n)
+            for i in range(0, n, tile):
+                for j in range(i, n, tile):
+                    d = r0[:, i : i + tile] * r1[:, :, j : j + tile]
+                    e = d if i == j else r0[:, j : j + tile] * r1[:, :, i : i + tile]
+                    # Only the maxima are kept: holding the 1 MB block of
+                    # absolute minors until the next block measured slower.
+                    maxima = np.abs(d - e.transpose(0, 2, 1)).reshape(len(rows), -1).max(axis=1)
+                    np.maximum(best, maxima, out=best)
+    return worst
+
+
 def max_segre_residual(state: MultiQubitState) -> float:
     """Largest relation residual; zero exactly on fully separable states.
 
-    Evaluated as the largest 2x2 minor of the m single-qubit flattenings:
-    with ``d`` the outer product of a flattening's two rows, its minors are
-    the entries of ``d - d.T``.
+    Evaluated as the largest 2x2 minor of the m single-qubit flattenings,
+    by :func:`largest_minors`.
     """
     if state.num_qubits < 2:
         raise WrongQubitCountError("residuals need at least 2 qubits")
-    a = state.amplitudes / state.norm
-    worst = 0.0
-    for position in range(state.num_qubits):  # ket order, most significant bit first
-        rows = a.reshape(1 << position, 2, -1)
-        d = np.multiply.outer(rows[:, 0].ravel(), rows[:, 1].ravel())
-        worst = max(worst, float(np.abs(d - d.T).max()))
-    return worst
+    return float(largest_minors((state.amplitudes / state.norm)[None])[0])
 
 
 def verify_beta_balance(relation: BinomialRelation, exponents: ExponentSet) -> bool:

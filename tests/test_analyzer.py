@@ -4,19 +4,33 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qtoric
 from qtoric import (
+    LengthMismatchError,
     MultiQubitState,
+    NonFiniteAmplitudeError,
     QubitFactor,
+    QubitLimitError,
     WrongQubitCountError,
+    ZeroStateError,
     analyze,
+    analyze_many,
     extract_factors,
     make_state,
     named_state,
     segre_embed,
 )
-from helpers import aligned_distance, random_product_state, random_state
+from helpers import (
+    aligned_distance,
+    apply_local,
+    random_product_state,
+    random_sl2,
+    random_state,
+    random_unitary,
+)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -217,3 +231,96 @@ def test_report_to_dict_schema():
     assert entangled["measures"]["H"] == [0.4999999999999999, 0.0] or (
         abs(entangled["measures"]["H"][0] - 0.5) < 1e-12
     )
+
+
+# --- the batch route against the scalar route ---------------------------------
+
+
+def _assert_same_report(got, want):
+    assert got.num_qubits == want.num_qubits
+    assert got.separable == want.separable
+    assert got.tolerance == want.tolerance
+    assert abs(got.max_residual - want.max_residual) <= 1e-12
+    assert (got.factors is None) == (want.factors is None)
+    if want.factors is not None:
+        assert len(got.factors) == len(want.factors)
+        for f, g in zip(got.factors, want.factors):
+            assert abs(f.a0 - g.a0) <= 1e-12 and abs(f.a1 - g.a1) <= 1e-12
+        assert np.abs(got.moment_image - want.moment_image).max() <= 1e-12
+    else:
+        assert got.moment_image is None
+    assert list(got.measures) == list(want.measures)
+    for name, value in want.measures.items():
+        assert type(got.measures[name]) is type(value)
+        assert abs(got.measures[name] - value) <= 1e-12, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(min_value=2, max_value=6),
+    kinds=st.lists(st.sampled_from(["state", "product"]), min_size=1, max_size=5),
+    transform=st.sampled_from([None, "unitary", "sl2"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_analyze_many_matches_analyze(m, kinds, transform, seed):
+    # Random states and products, mixed in one batch, as drawn or under a
+    # random local unitary or SL(2, C) map on every qubit.
+    rng = np.random.default_rng(seed)
+    states = []
+    for kind in kinds:
+        state = random_state(rng, m) if kind == "state" else random_product_state(rng, m)
+        if transform == "unitary":
+            state = apply_local(state, [random_unitary(rng) for _ in range(m)])
+        elif transform == "sl2":
+            state = apply_local(state, [random_sl2(rng) for _ in range(m)])
+        states.append(state)
+    reports = analyze_many(np.stack([s.amplitudes for s in states]))
+    assert len(reports) == len(states)
+    for state, report in zip(states, reports):
+        _assert_same_report(report, analyze(state))
+
+
+@pytest.mark.parametrize("m", [6, 8])
+def test_analyze_many_reconstruction_gate(m):
+    # A flat product moved off the variety by 1e-7: with the tolerance at
+    # twice its residual, the residual gate passes and the reconstruction
+    # gate alone rejects it, in both routes.
+    rng = np.random.default_rng(80 + m)
+    flat = segre_embed([QubitFactor(1, 1)] * m).normalized().amplitudes
+    noise = rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m)
+    near = MultiQubitState(m, flat + 1e-7 * noise / np.linalg.norm(noise))
+    tol = 2 * qtoric.max_segre_residual(near)
+    states = [random_product_state(rng, m), near, random_state(rng, m)]
+    reports = analyze_many(np.stack([s.amplitudes for s in states]), tol)
+    assert [r.separable for r in reports] == [True, False, False]
+    assert reports[1].max_residual <= tol
+    for state, report in zip(states, reports):
+        _assert_same_report(report, analyze(state, tol))
+
+
+def test_analyze_many_named_states():
+    for names in (["bell", "00", "01"], ["ghz3", "w3", "010"], ["ghz4", "0110"], ["ghz6"]):
+        states = [named_state(n) for n in names]
+        reports = analyze_many(np.stack([s.amplitudes for s in states]), 1e-8)
+        for state, report in zip(states, reports):
+            _assert_same_report(report, analyze(state, 1e-8))
+
+
+def test_analyze_many_input_checks():
+    rows = np.stack([named_state("bell").amplitudes] * 2)
+    assert analyze_many(rows[:0]) == []
+    with pytest.raises(LengthMismatchError):
+        analyze_many(rows[0])
+    with pytest.raises(LengthMismatchError):
+        analyze_many(np.ones((2, 6)))
+    with pytest.raises(WrongQubitCountError):
+        analyze_many(np.ones((2, 2)))
+    with pytest.raises(QubitLimitError):
+        analyze_many(np.ones((1, 1 << 13)))
+    with pytest.raises(NonFiniteAmplitudeError):
+        analyze_many(np.where([[True], [False]], np.nan, rows))
+    with pytest.raises(ZeroStateError):
+        analyze_many(np.where([[True], [False]], 0, rows))
+    for tol in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            analyze_many(rows, tol)

@@ -131,16 +131,18 @@ def test_analyze_unknown_fixture():
     assert result.returncode == 2
 
 
-def test_analyze_directory_jobs(tmp_path):
+def test_analyze_directory_order(tmp_path):
     for name in ("a_bell", "b_ghz3"):
         state = named_state(name.split("_")[1])
         (tmp_path / f"{name}.json").write_text(json.dumps(state_to_dict(state)))
-    result = run_cli("analyze", str(tmp_path), "--jobs", "2", "--format", "json")
+    result = run_cli("analyze", str(tmp_path), "--format", "json")
     assert result.returncode == 0
     reports = json.loads(result.stdout)
     assert [r["path"] for r in reports] == ["a_bell.json", "b_ghz3.json"]
     for report in reports:
         assert report["separable"] is False
+    # The option of the former thread pool is gone: a usage error.
+    assert run_cli("analyze", str(tmp_path), "--jobs", "2").returncode == 1
 
 
 def test_analyze_directory_bad_file(tmp_path, broken_file):
@@ -164,6 +166,84 @@ def test_analyze_directory_bad_file(tmp_path, broken_file):
         "\n\n== broken.json\nerror: expected 8 amplitudes, found 7"
         "\n\n== c_one.json\nerror: analysis needs at least 2 qubits\n"
     )
+
+
+def _state_file(directory, name, m, amps, **extra):
+    data = {"qubits": m, "amplitudes": [[a.real, a.imag] for a in amps], **extra}
+    (directory / name).write_text(json.dumps(data))
+
+
+def test_analyze_directory_mixed_records(tmp_path):
+    # Good files at m = 2-5 are analyzed in one batch per qubit count, between
+    # files that fail to validate or to analyze; each keeps its own record.
+    rng = np.random.default_rng(5)
+    for m in (2, 3, 4, 5):
+        _state_file(tmp_path, f"g{m}.json", m, random_state(rng, m).amplitudes)
+    _state_file(tmp_path, "g2b.json", 2, random_product_state(rng, 2).amplitudes)
+    _state_file(tmp_path, "g3_unnormalized.json", 3, 7 * random_state(rng, 3).amplitudes,
+                normalize=False)
+    _state_file(tmp_path, "m1.json", 1, [1, 0])
+    _state_file(tmp_path, "m13.json", 13, [])
+    _state_file(tmp_path, "nan.json", 2, [1, float("nan"), 0, 0])
+    _state_file(tmp_path, "short.json", 3, [1] * 7)
+    _state_file(tmp_path, "zero.json", 2, [0] * 4)
+    expected_errors = {
+        "m1.json": "analysis needs at least 2 qubits",
+        "m13.json": "a state is limited to 12 qubits, got 13",
+        "nan.json": "amplitudes contain NaN or infinite entries",
+        "short.json": "expected 8 amplitudes, found 7",
+        "zero.json": "the zero vector does not define a state",
+    }
+    names = sorted(p.name for p in tmp_path.iterdir())
+
+    result = run_cli("analyze", str(tmp_path), "--format", "json")
+    assert result.returncode == 2
+    assert result.stderr == f"qtoric: error: 5 of {len(names)} files failed\n"
+    records = json.loads(result.stdout)
+    assert [r["path"] for r in records] == names
+    for record in records:
+        if record["path"] in expected_errors:
+            assert record == {"path": record["path"], "error": expected_errors[record["path"]]}
+        else:
+            jsonschema.validate({k: v for k, v in record.items() if k != "path"}, REPORT_SCHEMA)
+    assert [r["qubits"] for r in records if "error" not in r] == [2, 2, 3, 3, 4, 5]
+
+    text = run_cli("analyze", str(tmp_path)).stdout
+    headers = [line[3:] for line in text.splitlines() if line.startswith("== ")]
+    assert headers == names
+    for name, message in expected_errors.items():
+        assert f"== {name}\nerror: {message}\n" in text + "\n"
+
+
+def test_analyze_directory_matches_per_file_reports(tmp_path):
+    # The batched directory route and the per-file scalar route give the same
+    # records: same keys in the same order, numbers within 1e-12.
+    rng = np.random.default_rng(9)
+    for k in range(8):
+        m = 2 + k % 4
+        state = random_state(rng, m) if k % 2 else random_product_state(rng, m)
+        (tmp_path / f"s{k:02d}.json").write_text(json.dumps(state_to_dict(state)))
+    result = run_cli("analyze", str(tmp_path), "--format", "json")
+    assert result.returncode == 0
+    records = json.loads(result.stdout, object_pairs_hook=list)
+    assert len(records) == 8
+    for record in records:
+        assert record[0][0] == "path"
+        single = run_cli("analyze", str(tmp_path / record[0][1]), "--format", "json")
+        assert single.returncode == 0
+        _assert_close(record[1:], json.loads(single.stdout, object_pairs_hook=list))
+
+
+def _assert_close(got, want):
+    """Equal JSON trees, key order included, with numbers within 1e-12."""
+    if isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_close(g, w)
+    elif isinstance(want, float) and not isinstance(got, bool):
+        assert isinstance(got, (int, float)) and abs(got - want) <= 1e-12, (got, want)
+    else:
+        assert got == want
 
 
 def test_analyze_directory_all_good_quiet(tmp_path):

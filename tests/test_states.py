@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -100,6 +102,16 @@ def test_segre_embed_ket_order():
 def test_segre_embed_empty():
     with pytest.raises(EmptyFactorListError):
         segre_embed([])
+
+
+def test_segre_embed_bit_identical_to_kron():
+    # The broadcast product multiplies the same numbers in the same order as
+    # the Kronecker product reduced from the first factor.
+    rng = np.random.default_rng(12)
+    for m in range(1, 10):
+        factors = [random_factor(rng) for _ in range(m)]
+        expected = functools.reduce(np.kron, (f.as_array() for f in factors))
+        assert np.array_equal(segre_embed(factors).amplitudes, expected)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

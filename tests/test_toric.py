@@ -29,6 +29,7 @@ from qtoric import (
     unit_cube_exponents,
     verify_beta_balance,
 )
+from qtoric.toric import largest_minors
 from helpers import random_product_state, random_state
 
 # Canonical relation counts, frozen from the exhaustive enumeration below.
@@ -372,6 +373,30 @@ def test_max_residual_matches_relation_enumeration(m):
     for state in states:
         enumerated = max(relation_residual(state, r) for r in relations)
         assert abs(max_segre_residual(state) - enumerated) <= 1e-15
+
+
+def _dense_largest_minor(unit, m):
+    """The dense route: the whole minor matrix ``d - d.T`` of every flattening."""
+    worst = 0.0
+    for position in range(m):
+        rows = unit.reshape(1 << position, 2, -1)
+        d = np.multiply.outer(rows[:, 0].ravel(), rows[:, 1].ravel())
+        worst = max(worst, float(np.abs(d - d.T).max()))
+    return worst
+
+
+@pytest.mark.parametrize("m", range(2, 12))
+def test_largest_minors_bit_identical_to_dense_matrix(m):
+    # Above m = 9 the kernel forms only the blocks on or above the diagonal,
+    # and below it packs several rows into one block; neither may change a
+    # single bit of the maximum. Five rows span two packed blocks at m = 8.
+    rng = np.random.default_rng(40 + m)
+    states = [random_state(rng, m) for _ in range(5 if m < 10 else 2)]
+    states.append(named_state(f"ghz{m}"))
+    unit = np.stack([s.amplitudes / s.norm for s in states])
+    got = largest_minors(unit)
+    assert got.tolist() == [_dense_largest_minor(row, m) for row in unit]
+    assert got.tolist() == [max_segre_residual(s) for s in states]
 
 
 # --- beta balance --------------------------------------------------------------
