@@ -420,7 +420,7 @@ def _cmd_polytope(args) -> int:
         "vertices": polytope.vertices.tolist(),
     }
     lines = [f"cube(m={args.m}, {args.variant}): {polytope.num_vertices} vertices"]
-    lines += [f"  {tuple(int(c) for c in v)}" for v in polytope.vertices]
+    lines += [f"  {tuple(v)}" for v in payload["vertices"]]
     if args.delzant:
         verdict = delzant_check(polytope)
         payload["delzant"] = verdict.is_delzant
@@ -436,13 +436,13 @@ def _cmd_polytope(args) -> int:
         payload["lattice_point_count"] = points.k
         payload["lattice_points"] = points.points.tolist()
         lines.append(f"lattice points: {points.k}")
-        lines += [f"  {tuple(int(c) for c in p)}" for p in points.points]
+        lines += [f"  {tuple(p)}" for p in payload["lattice_points"]]
     if args.fan:
         fan = normal_fan_box(polytope)
         payload["cone_count"] = fan.cone_count
         payload["maximal_cone_count"] = len(fan.maximal_cones())
         lines.append(
-            f"normal fan: {fan.cone_count} cones ({len(fan.maximal_cones())} maximal)"
+            f"normal fan: {fan.cone_count} cones ({payload['maximal_cone_count']} maximal)"
         )
     if args.format == "json":
         _emit_json(args, payload)

@@ -28,9 +28,10 @@ vector sums and equal total degree.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -68,27 +69,48 @@ __all__ = [
 ]
 
 
+def _integer_rows(values, what: str) -> np.ndarray:
+    """``values`` as a nonempty (k, n) int64 array, each entry an integer below 2^63."""
+    arr = np.asarray(values)
+    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
+        raise UnsupportedPolytopeError(f"{what} rows must form a nonempty (k, n) array")
+    kind = arr.dtype.kind
+    if kind == "f":
+        whole = np.isfinite(arr) & (arr == np.rint(arr)) & (abs(arr) < 2.0**63)
+    else:
+        whole = kind in "bi" or (kind == "u" and arr.max() < 2**63)
+    if not np.all(whole):
+        raise UnsupportedPolytopeError(f"{what} coordinates must be integers below 2^63")
+    return arr.astype(np.int64)
+
+
+def _rows_distinct(arr: np.ndarray) -> bool:
+    # Sorting the rows with np.lexsort is several times faster than
+    # np.unique(axis=0) on the 3^12 points of the largest cube.
+    rows = arr[np.lexsort(arr.T)]
+    return bool((rows[1:] != rows[:-1]).any(axis=1).all())
+
+
 @dataclass(frozen=True)
 class LatticePolytope:
-    """A full set of integer vertices; no vertex may be redundant."""
+    """A full set of integer vertices; no vertex may be redundant.
+
+    Boxes may have any dimension; other vertex sets need affine dimension
+    at most 3, where :func:`_facets` decides redundancy exactly.
+    """
 
     vertices: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.vertices)
-        if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-            raise UnsupportedPolytopeError("vertices must form a nonempty (k, n) array")
-        if not np.issubdtype(arr.dtype, np.integer):
-            rounded = np.rint(arr)
-            if not np.array_equal(arr, rounded):
-                raise UnsupportedPolytopeError("vertex coordinates must be integers")
-            arr = rounded
-        arr = arr.astype(np.int64, copy=True)
-        seen = set(map(tuple, arr.tolist()))
-        if len(seen) != len(arr):
+        arr = _integer_rows(self.vertices, "vertex")
+        if not _rows_distinct(arr):
             raise RedundantVertexError("duplicate vertices")
         if _box_intervals_of(arr) is None:
-            _assert_irredundant(arr)
+            dim, facets = _facets(arr)
+            for i, vertex in enumerate(arr.tolist()):
+                if sum(i in facet for facet in facets) < dim:
+                    message = f"vertex {tuple(vertex)} lies in the hull of the others"
+                    raise RedundantVertexError(message)
         arr.setflags(write=False)
         object.__setattr__(self, "vertices", arr)
 
@@ -101,37 +123,82 @@ class LatticePolytope:
         return int(self.vertices.shape[0])
 
 
-def _assert_irredundant(vertices: np.ndarray) -> None:
-    # Hull membership via an LP feasibility problem per vertex. Skipped for
-    # boxes, whose corners are never redundant.
-    from scipy.optimize import linprog  # deferred: keeps CLI startup light
+def _det(rows: list[list[int]]) -> int:
+    """Exact determinant of a small square integer matrix, by cofactor expansion."""
+    if len(rows) < 2:
+        return rows[0][0] if rows else 1
+    rest = rows[1:]
+    return sum(
+        (-1) ** c * a * _det([r[:c] + r[c + 1 :] for r in rest]) for c, a in enumerate(rows[0])
+    )
 
-    k = len(vertices)
-    if k <= 2:
-        return
-    for i in range(k):
-        others = np.delete(vertices, i, axis=0)
-        a_eq = np.vstack([others.T.astype(float), np.ones(k - 1)])
-        b_eq = np.append(vertices[i].astype(float), 1.0)
-        result = linprog(
-            np.zeros(k - 1), A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * (k - 1),
-            method="highs",
-        )
-        if result.status == 0:
-            raise RedundantVertexError(
-                f"vertex {tuple(int(c) for c in vertices[i])} lies in the hull of the others"
-            )
+
+def _affine_axes(points: list[list[int]]) -> list[int]:
+    """Coordinate axes onto which the affine hull of ``points`` projects bijectively.
+
+    Fraction-free row reduction of the differences from the first point, in
+    Python ints. Each new pivot row is zero on the earlier pivot axes and
+    nonzero on its own, so the pivot rows restricted to the pivot axes form
+    a triangular matrix with a nonzero determinant.
+    """
+    pivots: list[tuple[int, list[int]]] = []
+    for point in points[1:]:
+        row = [c - b for c, b in zip(point, points[0])]
+        for axis, pivot in pivots:
+            if row[axis]:
+                row = [pivot[axis] * r - row[axis] * p for r, p in zip(row, pivot)]
+        if any(row):
+            if len(pivots) == 3:
+                raise UnsupportedPolytopeError("a non-box vertex set needs affine dimension <= 3")
+            g = math.gcd(*row)
+            row = [c // g for c in row]
+            pivots.append((next(a for a, c in enumerate(row) if c), row))
+    return [axis for axis, _ in pivots]
+
+
+def _facets(vertices: np.ndarray) -> tuple[int, set[frozenset[int]]]:
+    """The affine dimension d <= 3 of a non-box point set and its facets, as index sets.
+
+    The points are first projected onto d coordinate axes whose d x d minor
+    is nonzero, an affine bijection on their hull. Every d-subset then spans
+    a candidate hyperplane through its cofactor normal (the perpendicular in
+    2D, the cross product in 3D); it is a facet when all points lie on one
+    side. A facet is determined by the points on it, so the index sets
+    deduplicate the candidates. All arithmetic is in Python ints, so nothing
+    overflows or rounds. A point is a vertex exactly when it lies on at
+    least d facets, and two vertices span an edge exactly when they share at
+    least d - 1. Cost: up to O(k^(d+1)) for k points.
+    """
+    points = vertices.tolist()
+    axes = _affine_axes(points)
+    points = [[point[a] for a in axes] for point in points]
+    dim = len(axes)
+    facets = set()
+    for subset in itertools.combinations(range(len(points)), dim):
+        base = points[subset[0]]
+        spans = [[c - b for c, b in zip(points[i], base)] for i in subset[1:]]
+        normal = [(-1) ** c * _det([s[:c] + s[c + 1 :] for s in spans]) for c in range(dim)]
+        if not any(normal):
+            continue
+        level = sum(map(operator.mul, normal, base))
+        sides = set()
+        for point in points:  # most candidates fail within a few points
+            height = sum(map(operator.mul, normal, point))
+            sides.add((height > level) - (height < level))
+            if sides >= {1, -1}:
+                break
+        else:
+            on = (i for i, p in enumerate(points) if sum(map(operator.mul, normal, p)) == level)
+            facets.add(frozenset(on))
+    return dim, facets
 
 
 def _box_intervals_of(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Per-axis (lows, highs) when the vertex set is exactly a box, else None."""
+    """Per-axis (lows, highs) when the distinct vertices are exactly a box's corners, else None."""
     lows = vertices.min(axis=0)
     highs = vertices.max(axis=0)
-    corners = {
-        tuple(int(v) for v in corner)
-        for corner in itertools.product(*[(int(lo), int(hi)) for lo, hi in zip(lows, highs)])
-    }
-    if corners == set(map(tuple, vertices.tolist())):
+    on_corner = ((vertices == lows) | (vertices == highs)).all()
+    if on_corner and len(vertices) == 1 << int((lows < highs).sum()):
         return lows, highs
     return None
 
@@ -141,7 +208,7 @@ def cube(m: int, variant: str = "centered") -> LatticePolytope:
     if m < 1:
         raise UnsupportedPolytopeError("cube dimension must be at least 1")
     # The moment polytope of an m-qubit state is the m-cube, so no larger
-    # cube has a use; the vertices, points and cones grow as 2^m and 3^m.
+    # cube has a use; the vertices and lattice points grow as 2^m and 3^m.
     check_qubit_count(m, MAX_QUBITS, "the cube dimension")
     if variant == "centered":
         values = (-1, 1)
@@ -149,7 +216,8 @@ def cube(m: int, variant: str = "centered") -> LatticePolytope:
         values = (0, 1)
     else:
         raise UnsupportedPolytopeError(f"unknown cube variant {variant!r}")
-    vertices = np.array(list(itertools.product(values, repeat=m)), dtype=np.int64)
+    # Row x of the index grid holds the bits of x, most significant first.
+    vertices = np.array(values)[np.indices((2,) * m).reshape(m, -1).T]
     return LatticePolytope(vertices)
 
 
@@ -160,10 +228,8 @@ class ExponentSet:
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.points, dtype=np.int64).copy()
-        if arr.ndim != 2 or arr.shape[0] == 0:
-            raise UnsupportedPolytopeError("exponent set must be a nonempty (k, n) array")
-        if len(set(map(tuple, arr.tolist()))) != len(arr):
+        arr = _integer_rows(self.points, "exponent")
+        if not _rows_distinct(arr):
             raise RedundantVertexError("exponent vectors must be pairwise distinct")
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
@@ -179,12 +245,10 @@ def lattice_points(polytope: LatticePolytope) -> ExponentSet:
     if intervals is None:
         raise UnsupportedPolytopeError("lattice point enumeration is implemented for boxes")
     lows, highs = intervals
-    axes = [range(int(lo), int(hi) + 1) for lo, hi in zip(lows, highs)]
-    points = np.array(list(itertools.product(*axes)), dtype=np.int64)
-    return ExponentSet(points)
+    grid = np.indices(tuple(int(n) for n in highs - lows + 1))
+    return ExponentSet(grid.reshape(polytope.dim, -1).T + lows)
 
 
-@lru_cache(maxsize=None)
 def unit_cube_exponents(m: int) -> ExponentSet:
     """Vertices of {0,1}^m ordered so position x holds the bits of x (MSB first)."""
     return lattice_points(cube(m, "unit"))
@@ -208,73 +272,9 @@ class DelzantVerdict:
     failures: tuple[DelzantFailure, ...]
 
 
-def _primitive(vector: np.ndarray) -> tuple[int, ...]:
-    g = int(np.gcd.reduce(np.abs(vector)))
-    return tuple(int(c) // g for c in vector)
-
-
-def _int_det(matrix: np.ndarray) -> int:
-    n = matrix.shape[0]
-    m = matrix.astype(object)
-    if n == 1:
-        return int(m[0, 0])
-    if n == 2:
-        return int(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    if n == 3:
-        return int(
-            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-        )
-    raise UnsupportedPolytopeError("exact determinant implemented for n <= 3")
-
-
-def _polygon_edges(vertices: np.ndarray) -> list[tuple[int, int]]:
-    # A pair is an edge exactly when the remaining vertices lie strictly on
-    # one side of its supporting line.
-    edges = []
-    k = len(vertices)
-    for i, j in itertools.combinations(range(k), 2):
-        d = vertices[j] - vertices[i]
-        normal = np.array([-d[1], d[0]], dtype=np.int64)
-        sides = (vertices - vertices[i]) @ normal
-        others = np.delete(sides, [i, j])
-        if others.size == 0 or np.all(others > 0) or np.all(others < 0):
-            edges.append((i, j))
-    return edges
-
-
-def _facet_vertex_sets_3d(vertices: np.ndarray) -> list[frozenset[int]]:
-    facets: dict[tuple, frozenset[int]] = {}
-    for i, j, l in itertools.combinations(range(len(vertices)), 3):
-        normal = np.cross(vertices[j] - vertices[i], vertices[l] - vertices[i])
-        if not normal.any():
-            continue
-        offsets = vertices @ normal
-        level = offsets[i]
-        if np.all(offsets <= level):
-            pass
-        elif np.all(offsets >= level):
-            normal = -normal
-            offsets = -offsets
-            level = -level
-        else:
-            continue
-        prim = _primitive(normal)
-        key = (prim, int(np.dot(prim, vertices[i])))
-        facets[key] = frozenset(int(t) for t in np.flatnonzero(offsets == level))
-    return list(facets.values())
-
-
-def _polyhedron_edges(vertices: np.ndarray) -> list[tuple[int, int]]:
-    # An edge of a 3-polytope is exactly a vertex pair shared by two facets.
-    facets = _facet_vertex_sets_3d(vertices)
-    edges = []
-    for i, j in itertools.combinations(range(len(vertices)), 2):
-        shared = sum(1 for facet in facets if i in facet and j in facet)
-        if shared >= 2:
-            edges.append((i, j))
-    return edges
+def _primitive(vector) -> tuple[int, ...]:
+    g = math.gcd(*vector)
+    return tuple(c // g for c in vector)
 
 
 def delzant_check(polytope: LatticePolytope) -> DelzantVerdict:
@@ -282,47 +282,37 @@ def delzant_check(polytope: LatticePolytope) -> DelzantVerdict:
 
     A polytope passes when exactly ``n`` edges meet every vertex and their
     primitive integer directions form a Z-basis (determinant +-1). Boxes are
-    handled in any dimension; other polytopes up to dimension 3 by explicit
-    edge enumeration.
+    handled in any dimension; other polytopes (dimension at most 3) through
+    the exact edges of :func:`_facets`.
     """
     vertices = polytope.vertices
     n = polytope.dim
-    rank = np.linalg.matrix_rank((vertices - vertices[0]).astype(float))
+    intervals = _box_intervals_of(vertices)
+    if intervals is None:
+        rank, facets = _facets(vertices)
+    else:
+        rank, facets = int((intervals[0] < intervals[1]).sum()), set()
     if rank != n:
         raise UnsupportedPolytopeError(
             f"polytope spans dimension {rank}, expected full dimension {n}"
         )
-    if _box_intervals_of(vertices) is not None:
+    if intervals is not None:
         # At a box corner the n edges run along the axes with primitive
         # directions +-e_i, a Z-basis.
         return DelzantVerdict(True, ())
-    if n == 2:
-        edges = _polygon_edges(vertices)
-    elif n == 3:
-        edges = _polyhedron_edges(vertices)
-    else:
-        raise UnsupportedPolytopeError(
-            "general polytopes are supported up to dimension 3 (boxes in any dimension)"
-        )
 
-    neighbors: dict[int, list[int]] = defaultdict(list)
-    for i, j in edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-
+    points = [tuple(p) for p in vertices.tolist()]
     failures = []
-    for idx in range(len(vertices)):
-        around = neighbors.get(idx, [])
-        vertex = tuple(int(c) for c in vertices[idx])
-        if len(around) != n:
+    for idx, vertex in enumerate(points):
+        shared = [sum(idx in f and j in f for f in facets) for j in range(len(points))]
+        neighbors = [j for j, count in enumerate(shared) if j != idx and count >= n - 1]
+        if len(neighbors) != n:
             failures.append(
-                DelzantFailure(vertex, f"{len(around)} edges meet this vertex, expected {n}")
+                DelzantFailure(vertex, f"{len(neighbors)} edges meet this vertex, expected {n}")
             )
             continue
-        directions = np.array(
-            [_primitive(vertices[j] - vertices[idx]) for j in around], dtype=np.int64
-        ).T
-        det = _int_det(directions)
+        directions = [_primitive([b - a for a, b in zip(vertex, points[j])]) for j in neighbors]
+        det = _det(directions)
         if abs(det) != 1:
             failures.append(
                 DelzantFailure(
@@ -341,59 +331,74 @@ def delzant_check(polytope: LatticePolytope) -> DelzantVerdict:
 
 @dataclass(frozen=True)
 class Cone:
-    """A rational cone given by primitive, pairwise distinct ray generators."""
+    """A rational cone given by primitive, pairwise distinct ray generators.
+
+    Generators are stored as tuples of ints, all of one length.
+    """
 
     generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        try:
+            generators = tuple(tuple(map(operator.index, gen)) for gen in self.generators)
+        except TypeError as exc:
+            raise UnsupportedPolytopeError("generators must be sequences of integers") from exc
+        if len({len(gen) for gen in generators}) > 1:
+            raise UnsupportedPolytopeError("generators must have one common length")
         seen = set()
-        for gen in self.generators:
-            arr = np.asarray(gen, dtype=np.int64)
-            if not arr.any():
+        for gen in generators:
+            if not any(gen):
                 raise UnsupportedPolytopeError("a zero vector cannot generate a ray")
-            if _primitive(arr) != tuple(int(c) for c in arr):
+            if _primitive(gen) != gen:
                 raise UnsupportedPolytopeError(f"generator {gen} is not primitive")
             if gen in seen:
                 raise UnsupportedPolytopeError(f"generator {gen} repeated")
             seen.add(gen)
+        object.__setattr__(self, "generators", generators)
 
     @property
     def ndim(self) -> int:
         return len(self.generators)
 
 
+def _orthant_cone(pattern: tuple[int, ...]) -> Cone:
+    """The cone of the rays ``sign * e_i``, one per nonzero entry of ``pattern``."""
+    axes = range(len(pattern))
+    return Cone(
+        tuple(tuple(sign * (a == i) for a in axes) for i, sign in enumerate(pattern) if sign)
+    )
+
+
 @dataclass(frozen=True)
 class Fan:
-    """Normal fan of a box, one cone per face.
+    """Normal fan of a nondegenerate box in dimension ``dim``, one cone per face.
 
-    Cones are keyed by sign patterns in {-1, 0, +1}^n: entry +1 selects the
-    upper facet normal ``+e_i`` on axis i, entry -1 the lower ``-e_i``, and 0
-    leaves the axis free. The all-zero key is the zero cone and the keys
-    without zeros are the maximal cones.
+    The fan depends only on ``dim``. Cones are keyed by sign patterns in
+    {-1, 0, +1}^dim: entry +1 selects the upper facet normal ``+e_i`` on
+    axis i, entry -1 the lower ``-e_i``, and 0 leaves the axis free. The
+    all-zero key is the zero cone and the keys without zeros are the maximal
+    cones; every face of a cone is the cone of a pattern with more zeros, so
+    the fan is closed under faces.
     """
 
     dim: int
-    cones: dict[tuple[int, ...], "Cone"]
 
     def __post_init__(self) -> None:
-        zero = (0,) * self.dim
-        if zero not in self.cones:
-            raise UnsupportedPolytopeError("fan must contain the zero cone")
-        for pattern in self.cones:
-            for axis, sign in enumerate(pattern):
-                if sign != 0:
-                    face = pattern[:axis] + (0,) + pattern[axis + 1 :]
-                    if face not in self.cones:
-                        raise UnsupportedPolytopeError(
-                            f"fan is not closed under faces: missing {face}"
-                        )
+        if self.dim < 1:
+            raise UnsupportedPolytopeError("a fan needs dimension at least 1")
 
     @property
     def cone_count(self) -> int:
-        return len(self.cones)
+        return 3**self.dim
 
-    def maximal_cones(self) -> list["Cone"]:
-        return [cone for pattern, cone in sorted(self.cones.items()) if 0 not in pattern]
+    @cached_property
+    def cones(self) -> dict[tuple[int, ...], Cone]:
+        """Every cone, keyed by sign pattern in lexicographic order; built when first read."""
+        return {p: _orthant_cone(p) for p in itertools.product((-1, 0, 1), repeat=self.dim)}
+
+    def maximal_cones(self) -> list[Cone]:
+        """The 2^dim maximal cones, in lexicographic order of their sign patterns."""
+        return [_orthant_cone(p) for p in itertools.product((-1, 1), repeat=self.dim)]
 
 
 def normal_fan_box(polytope: LatticePolytope) -> Fan:
@@ -405,16 +410,7 @@ def normal_fan_box(polytope: LatticePolytope) -> Fan:
     degenerate = np.flatnonzero(lows == highs)
     if degenerate.size:
         raise DegenerateIntervalError(f"axis {int(degenerate[0])} has zero length")
-    n = polytope.dim
-    cones = {}
-    for pattern in itertools.product((-1, 0, 1), repeat=n):
-        generators = tuple(
-            tuple(sign if axis == i else 0 for axis in range(n))
-            for i, sign in enumerate(pattern)
-            if sign != 0
-        )
-        cones[pattern] = Cone(generators)
-    return Fan(n, cones)
+    return Fan(polytope.dim)
 
 
 # ---------------------------------------------------------------------------

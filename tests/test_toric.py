@@ -1,14 +1,25 @@
 import itertools
 import math
+import subprocess
+import sys
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from qtoric import (
     BinomialRelation,
+    Cone,
     DegenerateIntervalError,
+    DelzantFailure,
+    DelzantVerdict,
     DimensionMismatchError,
     ExponentSet,
+    Fan,
     IndexOutOfRangeError,
     LatticePolytope,
     MAX_RELATION_QUBITS,
@@ -29,7 +40,7 @@ from qtoric import (
     unit_cube_exponents,
     verify_beta_balance,
 )
-from qtoric.toric import largest_minors
+from qtoric.toric import _box_intervals_of, largest_minors
 from helpers import random_product_state, random_state
 
 # Canonical relation counts, frozen from the exhaustive enumeration below.
@@ -142,11 +153,34 @@ def test_polytope_rejects_redundant_vertex():
         LatticePolytope(np.array([[0, 0], [2, 0], [0, 2], [1, 1]]))
     with pytest.raises(RedundantVertexError):
         LatticePolytope(np.array([[0, 0], [0, 0]]))
+    with pytest.raises(RedundantVertexError, match="duplicate"):
+        LatticePolytope(np.array([[0, 0], [1, 0], [0, 1], [0, 0]]))
+    with pytest.raises(RedundantVertexError, match="distinct"):
+        ExponentSet(np.array([[1, 0], [0, 0], [1, 0]]))
 
 
 def test_polytope_rejects_non_integer():
     with pytest.raises(UnsupportedPolytopeError):
         LatticePolytope(np.array([[0.5, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    # Both classes read coordinates alike: whole floats convert, anything
+    # else is refused rather than truncated or cast to a wrapped int64.
+    for bad in (
+        [[np.inf, 0.0], [0.0, 0.0]],
+        [[0.0, -np.inf], [1.0, 0.0]],
+        [[np.nan, 0.0], [1.0, 0.0]],
+        [[0.5], [1.7]],
+        [[2.0**63], [0.0]],
+        [[1 + 2j], [0]],
+        [[2**70], [0]],
+        np.array([[2**63], [0]], dtype=np.uint64),
+    ):
+        with pytest.raises(UnsupportedPolytopeError):
+            LatticePolytope(bad)
+        with pytest.raises(UnsupportedPolytopeError):
+            ExponentSet(bad)
+    whole = ExponentSet(np.array([[1.0, -2.0], [2.0**62, 0.0]]))
+    assert whole.points.dtype == np.int64
+    assert whole.points.tolist() == [[1, -2], [2**62, 0]]
 
 
 # --- Delzant ----------------------------------------------------------------
@@ -196,6 +230,237 @@ def test_delzant_rejects_high_dimensional_non_box():
         delzant_check(LatticePolytope(np.array(vertices)))
 
 
+def test_large_coordinates_vertex_beyond_an_edge_is_kept():
+    # (s + 1, s) lies just outside the edge x + y = 2s; a float LP calls it
+    # redundant.
+    s = 2**30
+    polytope = LatticePolytope(np.array([[0, 0], [2 * s, 0], [0, 2 * s], [s + 1, s]]))
+    assert polytope.num_vertices == 4
+
+
+def test_large_coordinates_edge_midpoint_is_redundant():
+    s = 2**50
+    with pytest.raises(RedundantVertexError, match=f"vertex \\({s}, {s}\\)"):
+        LatticePolytope(np.array([[0, 0], [2 * s, 0], [0, 2 * s], [s, s]]))
+
+
+def test_large_triangle_is_delzant():
+    # Side products reach 2^66, past int64.
+    s = 2**33
+    triangle = LatticePolytope(np.array([[0, 0], [s, 0], [0, s]]))
+    assert delzant_check(triangle) == DelzantVerdict(True, ())
+
+
+def test_thin_triangle_is_delzant():
+    triangle = LatticePolytope(np.array([[0, 0], [2**31, 1], [1, 0]]))
+    assert delzant_check(triangle) == DelzantVerdict(True, ())
+
+
+def test_runs_without_scipy():
+    script = Path(__file__).with_name("no_scipy_check.py")
+    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "no-scipy check passed\n"
+
+
+# --- the parent's polytope code, as oracles -----------------------------------
+
+
+def _lp_redundant(vertices):
+    """Index of the first vertex that an LP finds in the hull of the others, or None."""
+    k = len(vertices)
+    if k <= 2:
+        return None
+    for i in range(k):
+        others = np.delete(vertices, i, axis=0)
+        a_eq = np.vstack([others.T.astype(float), np.ones(k - 1)])
+        b_eq = np.append(vertices[i].astype(float), 1.0)
+        result = linprog(
+            np.zeros(k - 1), A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * (k - 1),
+            method="highs",
+        )
+        if result.status == 0:
+            return i
+    return None
+
+
+def _itertools_is_box(vertices):
+    lows, highs = vertices.min(axis=0), vertices.max(axis=0)
+    corners = set(itertools.product(*[(int(lo), int(hi)) for lo, hi in zip(lows, highs)]))
+    return corners == set(map(tuple, vertices.tolist()))
+
+
+def _polygon_edges(vertices):
+    # A pair is an edge exactly when the remaining vertices lie strictly on
+    # one side of its supporting line.
+    edges = []
+    for i, j in itertools.combinations(range(len(vertices)), 2):
+        d = vertices[j] - vertices[i]
+        sides = (vertices - vertices[i]) @ np.array([-d[1], d[0]])
+        others = np.delete(sides, [i, j])
+        if others.size == 0 or np.all(others > 0) or np.all(others < 0):
+            edges.append((i, j))
+    return edges
+
+
+def _facet_vertex_sets_3d(vertices):
+    facets = {}
+    for i, j, l in itertools.combinations(range(len(vertices)), 3):
+        normal = np.cross(vertices[j] - vertices[i], vertices[l] - vertices[i])
+        if not normal.any():
+            continue
+        offsets = vertices @ normal
+        level = offsets[i]
+        if np.all(offsets >= level):
+            normal, offsets, level = -normal, -offsets, -level
+        elif not np.all(offsets <= level):
+            continue
+        prim = tuple(normal // np.gcd.reduce(np.abs(normal)))
+        facets[prim, int(np.dot(prim, vertices[i]))] = frozenset(np.flatnonzero(offsets == level))
+    return list(facets.values())
+
+
+def _polyhedron_edges(vertices):
+    # An edge of a 3-polytope is exactly a vertex pair shared by two facets.
+    facets = _facet_vertex_sets_3d(vertices)
+    return [
+        (i, j) for i, j in itertools.combinations(range(len(vertices)), 2)
+        if sum(1 for facet in facets if i in facet and j in facet) >= 2
+    ]
+
+
+def _oracle_polytope(vertices):
+    """The parent's constructor verdict: None when accepted, else (type, message)."""
+    if len(set(map(tuple, vertices.tolist()))) != len(vertices):
+        return RedundantVertexError, "duplicate vertices"
+    if not _itertools_is_box(vertices):
+        i = _lp_redundant(vertices)
+        if i is not None:
+            vertex = tuple(int(c) for c in vertices[i])
+            return RedundantVertexError, f"vertex {vertex} lies in the hull of the others"
+    return None
+
+
+def _oracle_delzant(vertices):
+    """The parent's Delzant check, a verdict or (type, message)."""
+    n = vertices.shape[1]
+    rank = np.linalg.matrix_rank((vertices - vertices[0]).astype(float))
+    if rank != n:
+        message = f"polytope spans dimension {rank}, expected full dimension {n}"
+        return UnsupportedPolytopeError, message
+    if _itertools_is_box(vertices):
+        return DelzantVerdict(True, ())
+    neighbors = defaultdict(list)
+    for i, j in _polygon_edges(vertices) if n == 2 else _polyhedron_edges(vertices):
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    failures = []
+    for idx in range(len(vertices)):
+        around = neighbors.get(idx, [])
+        vertex = tuple(int(c) for c in vertices[idx])
+        if len(around) != n:
+            reason = f"{len(around)} edges meet this vertex, expected {n}"
+            failures.append(DelzantFailure(vertex, reason))
+            continue
+        steps = [vertices[j] - vertices[idx] for j in around]
+        directions = np.array([d // np.gcd.reduce(np.abs(d)) for d in steps])
+        det = round(np.linalg.det(directions.T.astype(float)))  # exact at these sizes
+        if abs(det) != 1:
+            reason = f"primitive edge directions are not a Z-basis (determinant {det})"
+            failures.append(DelzantFailure(vertex, reason, determinant=det))
+    return DelzantVerdict(not failures, tuple(failures))
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except (RedundantVertexError, UnsupportedPolytopeError) as exc:
+        return type(exc), str(exc)
+
+
+# Delzant polygons and polytopes; their images under unimodular maps stay
+# Delzant, and under other maps mostly fail, or flatten.
+_DELZANT_SHAPES = [
+    [[0, 0], [1, 0], [0, 1]],
+    [[0, 0], [2, 0], [1, 1], [0, 1]],
+    [[0, 0], [2, 0], [2, 1], [1, 2], [0, 2]],
+    [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2], [2, 2, 0], [2, 0, 2], [0, 2, 2],
+     [1, 2, 2], [2, 1, 2], [2, 2, 1]],
+]
+
+
+def _vectors(n, bound):
+    return st.tuples(*[st.integers(-bound, bound)] * n)
+
+
+@st.composite
+def small_point_sets(draw):
+    """Distinct integer points in dimension 1-3 with |c| <= 8.
+
+    A third of the sets are random points; a third are a base point plus
+    small combinations of up to n direction vectors, so collinear and
+    coplanar subsets, and flat sets, are common; a third are the images of
+    a Delzant shape under a small integer matrix.
+    """
+    kind = draw(st.sampled_from(["free", "combinations", "image"]))
+    if kind == "image":
+        shape = draw(st.sampled_from(_DELZANT_SHAPES))
+        n = len(shape[0])
+        matrix = np.array(draw(st.lists(_vectors(n, 1), min_size=n, max_size=n)))
+        rows = np.array(draw(st.permutations(shape))) @ matrix + draw(_vectors(n, 1))
+    else:
+        n = draw(st.integers(1, 3))
+        k = draw(st.integers(1, 8))
+        if kind == "free":
+            return np.array(draw(st.lists(_vectors(n, 8), min_size=k, max_size=k, unique=True)))
+        rank = draw(st.integers(0, n))
+        directions = draw(st.lists(_vectors(n, 1), min_size=rank, max_size=rank))
+        directions = np.array(directions, dtype=np.int64).reshape(rank, n)
+        weights = draw(st.lists(_vectors(rank, 2), min_size=k, max_size=k, unique=True))
+        weights = np.array(weights, dtype=np.int64).reshape(k, rank)
+        rows = np.array(draw(_vectors(n, 2))) + weights @ directions
+    _, first = np.unique(rows, axis=0, return_index=True)
+    return rows[np.sort(first)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_point_sets())
+def test_facets_match_lp_and_edge_enumeration_oracles(vertices):
+    expected = _oracle_polytope(vertices)
+    got = _outcome(LatticePolytope, vertices)
+    if expected is not None:
+        assert got == expected
+        return
+    assert isinstance(got, LatticePolytope)
+    assert (_box_intervals_of(got.vertices) is None) == (not _itertools_is_box(vertices))
+    assert _outcome(delzant_check, got) == _oracle_delzant(vertices)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_cube_points_and_fan_match_itertools(m):
+    for variant, (low, high) in (("centered", (-1, 1)), ("unit", (0, 1))):
+        polytope = cube(m, variant)
+        vertices = [list(v) for v in itertools.product((low, high), repeat=m)]
+        assert polytope.vertices.tolist() == vertices
+        points = lattice_points(polytope).points.tolist()
+        assert points == [list(p) for p in itertools.product(range(low, high + 1), repeat=m)]
+    expected = {
+        pattern: tuple(
+            tuple(sign if axis == i else 0 for axis in range(m))
+            for i, sign in enumerate(pattern)
+            if sign != 0
+        )
+        for pattern in itertools.product((-1, 0, 1), repeat=m)
+    }
+    fan = normal_fan_box(cube(m))
+    assert fan == Fan(m)
+    assert fan.cone_count == len(expected)
+    assert [(p, cone.generators) for p, cone in fan.cones.items()] == list(expected.items())
+    maximal = [gens for pattern, gens in sorted(expected.items()) if 0 not in pattern]
+    assert [cone.generators for cone in fan.maximal_cones()] == maximal
+
+
 # --- normal fans -------------------------------------------------------------
 
 
@@ -235,6 +500,37 @@ def test_fan_rejects_non_box():
     triangle = LatticePolytope(np.array([[0, 0], [1, 0], [0, 1]]))
     with pytest.raises(UnsupportedPolytopeError):
         normal_fan_box(triangle)
+
+
+def test_fan_needs_positive_dimension():
+    assert Fan(1).cone_count == 3
+    for dim in (0, -1):
+        with pytest.raises(UnsupportedPolytopeError):
+            Fan(dim)
+
+
+def test_cone_generators_normalized():
+    cone = Cone(([1, 0], (0, np.int64(-1))))
+    assert cone.generators == ((1, 0), (0, -1))
+    assert all(type(c) is int for gen in cone.generators for c in gen)
+    assert Cone(()).ndim == 0
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [
+        ((1, 0), (0, 1, 0)),  # lengths differ
+        ((1.0, 0),),  # not integers
+        ((1, 0), "ab"),
+        (5,),
+        ((0, 0),),  # zero vector
+        ((2, 0),),  # not primitive
+        ((1, 0), [1, 0]),  # repeated
+    ],
+)
+def test_cone_rejects_bad_generators(generators):
+    with pytest.raises(UnsupportedPolytopeError):
+        Cone(generators)
 
 
 # --- Segre relations ----------------------------------------------------------
