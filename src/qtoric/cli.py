@@ -139,16 +139,17 @@ def _emit(args, text) -> None:
 _ROWS = "@rows@"
 
 
-def _emit_json(args, payload, rows=None) -> None:
+def _emit_json(args, payload, key=None, rows=None) -> None:
     """Write ``json.dumps(payload, indent=2)``.
 
-    With ``rows``, ``payload["relations"]`` is written from those pieces of
-    pre-rendered row text (an iterable, consumed here), separators included.
+    With ``rows``, the list ``payload[key]`` of the top level is written from
+    those pieces of pre-rendered row text (an iterable, consumed here),
+    separators included.
     """
     if rows is None:
         _emit(args, json.dumps(payload, indent=2))
         return
-    text = json.dumps({**payload, "relations": [_ROWS]}, indent=2)
+    text = json.dumps({**payload, key: [_ROWS]}, indent=2)
     head, tail = text.split(f'    "{_ROWS}"')
     _emit(args, itertools.chain([head], rows, [tail]))
 
@@ -268,7 +269,7 @@ def _cmd_segre(args) -> int:
         payload = {"m": m, "relations": None}
         if residuals is not None:
             payload["max_residual"] = largest
-        _emit_json(args, payload, rows)
+        _emit_json(args, payload, "relations", rows)
     elif residuals is None:
         _emit(args, _rendered_rows(table, m, RELATION_TEXT, "\n"))
     else:
@@ -431,12 +432,16 @@ def _cmd_polytope(args) -> int:
         lines.append(f"delzant: {str(verdict.is_delzant).lower()}")
         for failure in verdict.failures:
             lines.append(f"  vertex {failure.vertex}: {failure.reason}")
+    rows = None
     if args.lattice_points:
-        points = lattice_points(polytope)
-        payload["lattice_point_count"] = points.k
-        payload["lattice_points"] = points.points.tolist()
-        lines.append(f"lattice points: {points.k}")
-        lines += [f"  {tuple(p)}" for p in payload["lattice_points"]]
+        points = lattice_points(polytope).points
+        payload["lattice_point_count"] = len(points)
+        payload["lattice_points"] = None  # written from rows
+        lines.append(f"lattice points: {len(points)}")
+        if args.format == "json":
+            rows = _rendered_points(points)
+        else:
+            lines += [f"  {tuple(p)}" for p in points.tolist()]
     if args.fan:
         fan = normal_fan_box(polytope)
         payload["cone_count"] = fan.cone_count
@@ -445,10 +450,25 @@ def _cmd_polytope(args) -> int:
             f"normal fan: {fan.cone_count} cones ({payload['maximal_cone_count']} maximal)"
         )
     if args.format == "json":
-        _emit_json(args, payload)
+        _emit_json(args, payload, "lattice_points", rows)
     else:
         _emit(args, "\n".join(lines))
     return 0
+
+
+def _rendered_points(points):
+    """``",\n".join`` of the integer rows of ``points`` as ``json.dumps(indent=2)``
+    writes them in a list of the top level, in pieces of ``_BLOCK`` rows.
+
+    Each row fills a %-template dumped from a row of ``%d`` placeholders at
+    that nesting; at m = 12 this is several times faster than dumping the
+    3^12 rows, and holds one piece at a time.
+    """
+    row = json.dumps(["%d"] * points.shape[1], indent=2).replace('"%d"', "%d")
+    template = "    " + row.replace("\n", "\n    ")
+    for start in range(0, len(points), _BLOCK):
+        piece = ",\n".join(template % tuple(p) for p in points[start : start + _BLOCK].tolist())
+        yield piece if start == 0 else ",\n" + piece
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 from qtoric import (
+    cube,
+    lattice_points,
     max_segre_residual,
     named_state,
     relation_residual,
@@ -469,6 +472,23 @@ def test_polytope_json_fan():
     assert data["cone_count"] == 9
     assert data["maximal_cone_count"] == 4
     assert len(data["vertices"]) == 4
+
+
+POLYTOPE_FLAGS = ("--delzant", "--lattice-points", "--fan")
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_polytope_json_is_json_dumps(capsys, m):
+    # The lattice points are written through a row template, the rest by
+    # json.dumps: the text must be exactly json.dumps(payload, indent=2).
+    for variant in ("centered", "unit"):
+        want_points = lattice_points(cube(m, variant)).points.tolist()
+        for flags in itertools.product(*[((), (flag,)) for flag in POLYTOPE_FLAGS]):
+            argv = ["polytope", "cube", "-m", str(m), "--variant", variant, *sum(flags, ())]
+            out = _cli_stdout(capsys, *argv, "--format", "json")
+            payload = json.loads(out)
+            assert out == json.dumps(payload, indent=2) + "\n"
+            assert payload.get("lattice_points", want_points) == want_points
 
 
 def test_polytope_requires_m():

@@ -22,6 +22,7 @@ from qtoric import (
     Fan,
     IndexOutOfRangeError,
     LatticePolytope,
+    LengthMismatchError,
     MAX_RELATION_QUBITS,
     MultiQubitState,
     QubitLimitError,
@@ -40,8 +41,9 @@ from qtoric import (
     unit_cube_exponents,
     verify_beta_balance,
 )
-from qtoric.toric import _box_intervals_of, largest_minors
-from helpers import random_product_state, random_state
+from qtoric import toric
+from qtoric.toric import _TOP, _box_intervals_of, largest_minors
+from helpers import apply_local, random_product_state, random_sl2, random_state
 
 # Canonical relation counts, frozen from the exhaustive enumeration below.
 RELATION_COUNTS = {2: 1, 3: 12, 4: 88}
@@ -671,28 +673,177 @@ def test_max_residual_matches_relation_enumeration(m):
         assert abs(max_segre_residual(state) - enumerated) <= 1e-15
 
 
-def _dense_largest_minor(unit, m):
-    """The dense route: the whole minor matrix ``d - d.T`` of every flattening."""
+def _oracle_minor(r0, r1):
+    """Largest entry of |d - d.T|, d = outer(r0, r1): every minor of one
+    flattening, in strips of 16 rows from the diagonal on, which bounds the
+    memory."""
     worst = 0.0
-    for position in range(m):
-        rows = unit.reshape(1 << position, 2, -1)
-        d = np.multiply.outer(rows[:, 0].ravel(), rows[:, 1].ravel())
-        worst = max(worst, float(np.abs(d - d.T).max()))
+    for i in range(0, len(r0), 16):
+        strip = np.multiply.outer(r0[i : i + 16], r1[i:])  # d[i:i+16, i:]
+        mirror = np.multiply.outer(r0[i:], r1[i : i + 16]).T  # d.T[i:i+16, i:]
+        worst = max(worst, float(np.abs(strip - mirror).max()))
     return worst
 
 
-@pytest.mark.parametrize("m", range(2, 12))
+def _dense_largest_minor(unit, m):
+    """The dense route: every minor of every flattening of one unit vector."""
+    worst = 0.0
+    for position in range(m):
+        rows = unit.reshape(1 << position, 2, -1)
+        worst = max(worst, _oracle_minor(rows[:, 0].ravel(), rows[:, 1].ravel()))
+    return worst
+
+
+def _unit(amplitudes):
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    return amplitudes / np.linalg.norm(amplitudes)
+
+
+def _certificate_states(rng, m):
+    """One unit vector of each kind that the certificate treats differently.
+
+    From m = 8 the bound prunes the first four, the SL(2, C) images go
+    either way, and the rest take the dense kernel: their bound rules out
+    too few pairs (products, near products, equal weights) or is zero or
+    below 1e-150 (basis states, a basis state 1e-170 off).
+    """
+    size = 1 << m
+    noise = lambda: _unit(rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    ghz = named_state(f"ghz{m}")
+    product = _unit(random_product_state(rng, m).amplitudes)
+    basis = np.zeros(size)
+    basis[rng.integers(size)] = 1.0
+    scales = np.where(rng.random(size) < 0.5, 1e-200, 1.0)  # products underflow
+    path = [bin(x & (x >> 1)).count("1") for x in range(size)]  # path graph state
+    return {
+        "haar": random_state(rng, m).amplitudes,
+        "ghz + noise": ghz.amplitudes + 1e-3 * noise(),
+        "w": _w_state(m).amplitudes,
+        "mixed scales": scales * noise(),
+        "w under sl2": apply_local(_w_state(m), [random_sl2(rng) for _ in range(m)]).amplitudes,
+        "ghz under sl2": apply_local(ghz, [random_sl2(rng) for _ in range(m)]).amplitudes,
+        "product": product,
+        "near product": product + 1e-9 * noise(),
+        "uniform": np.ones(size),
+        "graph": (-1.0) ** np.array(path),
+        "basis": basis,
+        "basis + 1e-170": basis + 1e-170 * noise(),
+    }
+
+
+@pytest.mark.parametrize("m", range(2, 13))
 def test_largest_minors_bit_identical_to_dense_matrix(m):
-    # Above m = 9 the kernel forms only the blocks on or above the diagonal,
-    # and below it packs several rows into one block; neither may change a
-    # single bit of the maximum. Five rows span two packed blocks at m = 8.
+    # Every kind of state against the dense oracle, in one batch and one at a
+    # time through max_segre_residual. Up to m = 7 the kernel forms every
+    # minor, in blocks that pack several flattenings; from m = 8 it prunes,
+    # and the batch mixes pruned rows with rows that take the dense kernel.
+    # Neither may change a single bit of the maximum.
     rng = np.random.default_rng(40 + m)
-    states = [random_state(rng, m) for _ in range(5 if m < 10 else 2)]
-    states.append(named_state(f"ghz{m}"))
+    states = [MultiQubitState(m, v) for v in _certificate_states(rng, m).values()]
     unit = np.stack([s.amplitudes / s.norm for s in states])
-    got = largest_minors(unit)
-    assert got.tolist() == [_dense_largest_minor(row, m) for row in unit]
-    assert got.tolist() == [max_segre_residual(s) for s in states]
+    want = [_dense_largest_minor(row, m) for row in unit]
+    assert largest_minors(unit).tolist() == want
+    assert [max_segre_residual(s) for s in states] == want
+
+
+def _hidden_maximum(rng, count, m, n, small):
+    """(count, m, n) flattening rows whose largest minor lies outside the
+    _TOP heaviest columns of every flattening.
+
+    The _TOP heaviest columns, 1.2 (1, 1 + 0.001 e^it), are nearly parallel:
+    their minors are below 0.003. Next come two columns (1, 1 +- eta), eta
+    near 0.1, adjacent in weight order, whose minor 2 eta is the largest;
+    ``small`` columns 0.05 (1, -1) make minors near 0.12 with the heaviest
+    ones, and the rest weigh a few 1e-8. Every column carries a random
+    phase, and each flattening is scaled to unit weight, as a state's are.
+    """
+    shape = (count, m, n)
+    r0 = 1e-4 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    r1 = 1e-4 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    for row, p in itertools.product(range(count), range(m)):
+        chosen = rng.choice(n, _TOP + 2 + small, replace=False)
+        heavy, pair, rest = chosen[:_TOP], chosen[_TOP : _TOP + 2], chosen[_TOP + 2 :]
+        eta = 0.1 * (1 + rng.random())
+        r0[row, p, heavy] = 1.2
+        r1[row, p, heavy] = 1.2 * (1 + 0.001 * np.exp(2j * np.pi * rng.random(_TOP)))
+        r0[row, p, pair] = 1.0
+        r1[row, p, pair] = (1 + eta, 1 - eta)
+        r0[row, p, rest] = 0.05
+        r1[row, p, rest] = -0.05
+    phase = np.exp(2j * np.pi * rng.random(shape))
+    scale = np.sqrt((abs(r0) ** 2 + abs(r1) ** 2).sum(axis=2, keepdims=True))
+    return r0 * phase / scale, r1 * phase / scale
+
+
+def test_pruned_largest_minors_finds_maxima_outside_the_top_block(monkeypatch):
+    # The lower bound from the heaviest columns is below a fiftieth of the
+    # answer, so the answer comes from the surviving pairs: about 1,800 per
+    # flattening, 44,000 over the batch, which spans three evaluation
+    # chunks. No row may fall back to the dense kernel. Several of the 24
+    # maxima change their last bit when a product is formed with r1 first.
+    rng = np.random.default_rng(53)
+    r0, r1 = _hidden_maximum(rng, count=6, m=4, n=512, small=45)
+    want, top = [], []
+    for a0, a1 in zip(r0, r1):
+        want.append(max(_oracle_minor(f0, f1) for f0, f1 in zip(a0, a1)))
+        heaviest = [np.argsort(abs(f0) ** 2 + abs(f1) ** 2)[-_TOP:] for f0, f1 in zip(a0, a1)]
+        top.append(max(_oracle_minor(f0[h], f1[h]) for f0, f1, h in zip(a0, a1, heaviest)))
+    assert all(50 * t < w for t, w in zip(top, want))
+
+    def no_fallback(r0, r1):
+        raise AssertionError("a row fell back to the dense kernel")
+
+    monkeypatch.setattr(toric, "_dense_largest_minors", no_fallback)
+    assert toric._pruned_largest_minors(r0, r1).tolist() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(min_value=7, max_value=9),
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(["state", "product"]),
+            st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]),
+            st.sampled_from([None, "sparse", "sl2"]),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_largest_minors_bit_identical_property(m, rows, seed):
+    # Random states and products, moved off by noise of any size, thinned
+    # to a tenth of their amplitudes or mapped by SL(2, C) on every qubit,
+    # in one batch.
+    rng = np.random.default_rng(seed)
+    batch = []
+    for kind, noise, transform in rows:
+        state = random_state(rng, m) if kind == "state" else random_product_state(rng, m)
+        if transform == "sl2":
+            state = apply_local(state, [random_sl2(rng) for _ in range(m)])
+        amplitudes = _unit(state.amplitudes)
+        amplitudes += noise * _unit(rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m))
+        if transform == "sparse":
+            keep = rng.random(1 << m) < 0.1
+            keep[np.abs(amplitudes).argmax()] = True
+            amplitudes = np.where(keep, amplitudes, 0)
+        batch.append(_unit(amplitudes))
+    unit = np.stack(batch)
+    assert largest_minors(unit).tolist() == [_dense_largest_minor(row, m) for row in unit]
+
+
+def test_largest_minors_checks_its_shape():
+    # Only the shape: rows must also be finite and unit-normalized, which the
+    # callers have already checked.
+    assert largest_minors(np.ones((0, 8))).shape == (0,)
+    for shape in ((1, 6), (1, 0), (8,), (1, 2, 4)):
+        with pytest.raises(LengthMismatchError):
+            largest_minors(np.ones(shape))
+    for width in (1, 2):
+        with pytest.raises(WrongQubitCountError):
+            largest_minors(np.ones((1, width)))
+    with pytest.raises(QubitLimitError):
+        largest_minors(np.ones((1, 1 << 13)))
 
 
 # --- beta balance --------------------------------------------------------------
