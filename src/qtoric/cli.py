@@ -255,8 +255,6 @@ def _cmd_segre(args) -> int:
         table = relation_table(m)
     else:
         state = _resolve_state(args)
-        if state.num_qubits < 2:
-            raise WrongQubitCountError("segre residuals need a state of at least 2 qubits")
         m = state.num_qubits
         table = relation_table(m)
         a = state.amplitudes / state.norm

@@ -16,11 +16,11 @@ The relations on axis ``j`` are exactly the 2x2 minors of the flattening
 that splits qubit ``j`` from the rest, the 2 x 2^(m-1) matrix whose rows are
 the amplitudes with bit ``j`` clear and set (Landsberg, *Tensors: Geometry
 and Applications*, 2012). :func:`largest_minors` finds the largest of them
-directly: up to m = 7 from every minor, and from m = 8 by branch and bound,
-evaluating only the minors that Hadamard's inequality on the column weights
-cannot rule out, with the same result to the bit. :func:`relation_table`
-enumerates the relations as an integer array, and :func:`segre_relations`
-wraps its rows as objects.
+directly, in square tiles of the minor matrices: up to m = 7 from every
+tile, and from m = 8 skipping the tiles that Hadamard's inequality on the
+column norms rules out, with the same result to the bit.
+:func:`relation_table` enumerates the relations as an integer array, and
+:func:`segre_relations` wraps its rows as objects up to m = 8.
 
 The exponent set pairing index ``x`` with the unit-cube vertex whose
 coordinates are the bits of ``x`` (most significant first) makes each
@@ -43,6 +43,7 @@ from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     LengthMismatchError,
+    QubitLimitError,
     RedundantVertexError,
     UnsupportedPolytopeError,
     WrongQubitCountError,
@@ -517,8 +518,15 @@ def segre_relations(m: int) -> tuple[BinomialRelation, ...]:
     Every unordered index pair {x, y} and axis j with differing bits
     contributes the bit-j swap; relations whose two sides coincide are
     dropped and equivalent presentations are merged. The rows of
-    :func:`relation_table`, as objects.
+    :func:`relation_table`, as objects, up to m = 8: one object costs about
+    25 times its table row, and the cache keeps them for the life of the
+    process (0.69 s and 165 MB at m = 9, 9.5 s and 592 MB at m = 10).
     """
+    if m > 8:
+        raise QubitLimitError(
+            f"relation objects are limited to 8 qubits, got {m}; "
+            f"relation_table lists the relations up to {MAX_RELATION_QUBITS} qubits"
+        )
     return tuple(
         BinomialRelation(m, (x, y), (u, v), axis)
         for x, y, u, v, axis in relation_table(m).tolist()
@@ -543,39 +551,30 @@ def relation_residual(state: MultiQubitState, relation: BinomialRelation) -> flo
 
 
 _TILE = 32
-"""Side of the square blocks in which :func:`_dense_largest_minors` forms
+"""Side of the square tiles in which :func:`_tiled_largest_minors` forms
 minor matrices."""
 
 _BLOCK = 1 << 14
-"""Complex entries of each buffer of :func:`_dense_largest_minors`, 256 KB:
-the same block of as many minor matrices as fill it is formed at once."""
-
-_TOP = 16
-"""Heaviest columns per flattening whose pairs give the lower bound of
-:func:`_pruned_largest_minors`."""
+"""Complex entries of each buffer of :func:`_tiled_largest_minors`, 256 KB:
+the same tile is formed at once for the flattenings of as many whole rows
+as fill it, at least one row."""
 
 _PRUNE_COLUMNS = 64
-"""Flattenings of more columns than this, m >= 8, are pruned; smaller ones
-cost less whole than the bound costs."""
+"""Flattenings of more columns than this, m >= 8, skip tiles by the bound;
+smaller ones cost less whole than the bound costs."""
 
 _SLACK = 2.0**-32
-"""Relative margin of the pruning threshold, far above the rounding error
-of the weights, the threshold and the minors (a few units of 2^-53)."""
+"""Relative margin of the skip threshold, far above the rounding error of
+the norms, their products and the minors (a few units of 2^-53)."""
 
-_TINY = 1e-150
-"""Least lower bound that prunes. Above it the squared threshold is a
-normal float, so every rounding error behind the bound stays relative.
-Rows whose bound is below it, or NaN, take the dense kernel."""
-
-_DENSE_SHARE = 16
-"""A row takes the dense kernel when more than 1/16 of its pairs survive."""
+_TINY = 1e-300
+"""Least lower bound L that skips tiles. Norms are taken without squares,
+so only a norm product or a minor below the normal range can underflow, and
+each underflow errs by at most 2^-1074, far below L 2^-32 for L above this
+floor. Rows whose L is below it, or NaN, form every tile."""
 
 _CHUNK = 1 << 14
-"""Amplitudes gathered per row chunk, and surviving pairs evaluated per step."""
-
-_KEY_BITS = 43
-"""Bits of a weight's search key: its float bits without the sign and the
-20 lowest mantissa bits. The bits above hold the flattening's number."""
+"""Amplitudes gathered per row chunk."""
 
 
 def largest_minors(unit) -> np.ndarray:
@@ -588,12 +587,12 @@ def largest_minors(unit) -> np.ndarray:
     ``r0`` first, and the result is the maximum of the whole minor matrix to
     the bit.
 
-    Up to m = 7 every minor is formed, by :func:`_dense_largest_minors`.
-    Above, :func:`_pruned_largest_minors` forms only the minors that a
-    Hadamard bound cannot rule out: on states far from the Segre variety
-    about one in 8,000 at m = 12. The bound rules out nothing on exact and
-    near products, or on states whose columns all weigh the same, so those
-    still cost O(m 4^m).
+    Up to m = 7 every minor is formed. Above, :func:`_tiled_largest_minors`
+    skips the tiles of the minor matrices that a Hadamard bound rules out:
+    on states far from the Segre variety every tile but the heaviest, which
+    at m = 12 is one tile of 32 x 32 in each 2048 x 2048 minor matrix. The
+    bound rules out nothing on exact and near products, or on states whose
+    columns all weigh the same, so those still cost O(m 4^m).
     """
     unit = np.asarray(unit, dtype=complex)
     size = unit.shape[1] if unit.ndim == 2 else 0
@@ -605,14 +604,13 @@ def largest_minors(unit) -> np.ndarray:
     if m < 2:
         raise WrongQubitCountError("minors need at least 2 qubits")
     check_qubit_count(m)
-    kernel = _dense_largest_minors if size // 2 <= _PRUNE_COLUMNS else _pruned_largest_minors
     columns = _flattening_columns(m)
     per_chunk = max(1, _CHUNK // (m * size))
     worst = np.empty(len(unit))
     for start in range(0, len(unit), per_chunk):
         rows = unit[start : start + per_chunk]
         r0, r1 = rows.take(columns[0], axis=1), rows.take(columns[1], axis=1)
-        worst[start : start + per_chunk] = kernel(r0, r1)
+        worst[start : start + per_chunk] = _tiled_largest_minors(r0, r1)
     return worst
 
 
@@ -630,24 +628,44 @@ def _flattening_columns(m: int) -> np.ndarray:
     return columns
 
 
-def _dense_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
-    """The largest absolute minor of each row from every minor, in blocks.
+def _tiled_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
+    """The largest absolute minor of each row, from the tiles that can hold it.
 
     ``r0`` and ``r1`` hold the two rows of the m flattenings of each row, as
     (N, m, n) arrays. With ``d = outer(r0, r1)`` the minors of a flattening
     are the entries of ``d - d.T``. That matrix is antisymmetric, so only its
-    blocks on or above the diagonal are formed: the block of row range I and
-    column range J is ``r0[I, None] * r1[None, J] - r0[None, J] * r1[I, None]``,
-    ``_TILE`` on a side, and a diagonal block reads its second term as the
-    transpose of its first. Each block is formed for as many flattenings at
-    once as fill ``_BLOCK`` entries, in the same three buffers.
+    tiles on or above the diagonal are formed: the tile of column ranges I
+    and J is ``r0[I, None] * r1[None, J] - r0[None, J] * r1[I, None]``,
+    ``_TILE`` on a side, and a diagonal tile reads its second term as the
+    transpose of its first. Each tile is formed at once for the flattenings
+    of the whole rows of one block, in the same three buffers.
+
+    Above ``_PRUNE_COLUMNS`` columns, each flattening's columns are sorted
+    by their norm ``hypot(|r0|, |r1|)``. The last tile, of the heaviest
+    columns, is formed first, and its largest minor over a row's m
+    flattenings is a lower bound L of the row's answer. By Hadamard's
+    inequality no minor of a tile exceeds the norm product of its last row
+    and column; the tiles where that product is at most
+    ``L / (1 + _SLACK)`` on every flattening of the block are skipped, all
+    decided at once. A skipped minor cannot exceed L and every other one is
+    formed as without the skip, so the result is the same to the bit.
     """
     count, m, n = r0.shape
-    r0, r1 = r0.reshape(-1, n), r1.reshape(-1, n)
     side = min(n, _TILE)
     spans = [slice(i, i + side) for i in range(0, n, side)]
-    blocks = [(block_i, block_j) for i, block_i in enumerate(spans) for block_j in spans[i:]]
-    per_block = min(len(r0), _BLOCK // (side * side))
+    tiles = [(i, j) for i in range(len(spans)) for j in range(i, len(spans))]
+    prune = n > _PRUNE_COLUMNS
+    if prune:
+        norms = np.empty(r0.shape, dtype=complex)
+        np.abs(r0, out=norms.real)
+        np.abs(r1, out=norms.imag)
+        norms = np.abs(norms)  # complex abs is a scaled hypot: no square underflows
+        order = norms.argsort(axis=2)
+        order += np.arange(0, r0.size, n).reshape(count, m, 1)
+        r0, r1 = r0.take(order), r1.take(order)
+        heads = norms.take(order[:, :, side - 1 :: side])  # each tile's heaviest column
+    r0, r1 = r0.reshape(-1, n), r1.reshape(-1, n)
+    per_block = min(count, max(1, _BLOCK // (m * side * side))) * m
     products = np.empty((per_block, side, side), dtype=complex)
     minors = np.empty_like(products)
     sizes = np.empty(products.shape)
@@ -657,7 +675,8 @@ def _dense_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
         k = len(a0)
         d, e, a = products[:k], minors[:k], sizes[:k]
         best = worst[start : start + k]
-        for block_i, block_j in blocks:
+
+        def form(block_i, block_j):
             np.multiply(a0[:, block_i, None], a1[:, None, block_j], out=d)
             if block_i == block_j:
                 np.subtract(d, d.transpose(0, 2, 1), out=e)
@@ -666,83 +685,20 @@ def _dense_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
                 np.subtract(d, e, out=e)
             np.abs(e, out=a)
             np.maximum(best, a.reshape(k, -1).max(axis=1), out=best)
+
+        todo = tiles
+        if prune:
+            form(spans[-1], spans[-1])
+            lower = best.reshape(-1, m).max(axis=1)
+            threshold = np.where(lower >= _TINY, lower / (1.0 + _SLACK), -1.0)
+            bound = heads[start // m : (start + k) // m]
+            bound = bound[..., :, None] * bound[..., None, :]
+            needed = np.triu((bound > threshold[:, None, None, None]).any(axis=(0, 1)))
+            needed[-1, -1] = False  # formed first
+            todo = zip(*np.nonzero(needed))
+        for i, j in todo:
+            form(spans[i], spans[j])
     return worst.reshape(count, m).max(axis=1)
-
-
-def _pruned_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
-    """The largest absolute minor of each row, by branch and bound.
-
-    ``r0`` and ``r1`` are as for :func:`_dense_largest_minors`. With column
-    weights ``w = |r0|^2 + |r1|^2``, Hadamard's inequality bounds every
-    minor: ``|minor_cd| <= sqrt(w_c w_d)``. The columns of each flattening
-    are sorted by weight, and the pairs among the ``_TOP`` heaviest are
-    evaluated; their largest minor over all m flattenings is a lower bound
-    L of the answer. Any other pair can exceed L only if
-    ``w_c w_d > t = (L / (1 + _SLACK))^2``, so in ascending order of weight
-    the partners d > c of column c that can form a suffix: the columns
-    heavier than ``t / w_c``. One ``searchsorted`` finds every suffix of
-    every flattening, over keys that put the flattening's number above the
-    bits of the weight; the dropped low bits only let more pairs through.
-    The surviving pairs are evaluated ``_CHUNK`` at a time. A row takes the
-    dense kernel when L is below ``_TINY`` or more than
-    ``1 / _DENSE_SHARE`` of its pairs survive.
-
-    Each minor is formed as the dense kernel forms it, and the pairs left
-    out cannot exceed L, so the result is the dense kernel's to the bit.
-    """
-    count, m, n = r0.shape
-    top = n - _TOP  # columns outside the top block
-    weights = np.square(r0.real) + np.square(r0.imag) + np.square(r1.real) + np.square(r1.imag)
-    start = np.arange(0, count * m * n, n).reshape(count, m, 1)
-    order = weights.argsort(axis=2)  # + start: positions in the raveled r0 and r1
-    order += start
-    weights = weights.take(order)
-    heavy = order[:, :, top:]
-    d = r0.take(heavy)[:, :, :, None] * r1.take(heavy)[:, :, None, :]
-    worst = np.abs(d - d.transpose(0, 1, 3, 2)).reshape(count, -1).max(axis=1)
-
-    # Clamping w_c at _TINY^2 keeps t / w_c finite and only lowers it.
-    threshold = np.square(worst / (1.0 + _SLACK))
-    needed = threshold[:, None, None] / np.maximum(weights[:, :, :top], _TINY * _TINY)
-    tag = (start // n) << _KEY_BITS
-    keys = _search_keys(weights, tag).ravel()
-    first = keys.searchsorted(_search_keys(needed, tag).ravel()).reshape(count, m, top)
-    survivors = n - np.maximum(first - start, np.arange(1, top + 1))
-    dense = ~(worst >= _TINY)
-    dense |= survivors.sum(axis=(1, 2)) * _DENSE_SHARE > m * n * (n - 1) // 2
-    if dense.any():
-        worst[dense] = _dense_largest_minors(r0[dense], r1[dense])
-        survivors[dense] = 0
-
-    live = np.flatnonzero(survivors)
-    if not live.size:
-        return worst
-    counts = survivors.ravel()[live]
-    flattening, column = np.divmod(live, top)
-    order, r0, r1 = order.ravel(), r0.ravel(), r1.ravel()
-    left = order[flattening * n + column]
-    right = flattening * n + n - counts  # sorted position of the first partner
-    owner = flattening // m
-    ends = np.cumsum(counts)
-    cuts = np.searchsorted(ends, np.arange(_CHUNK, ends[-1], _CHUNK), side="right")
-    for lo, hi in zip([0, *cuts], [*cuts, len(ends)]):
-        size = counts[lo:hi]
-        begin = ends[lo:hi] - size - (ends[lo - 1] if lo else 0)
-        c = np.repeat(left[lo:hi], size)
-        partner = order[np.repeat(right[lo:hi] - begin, size) + np.arange(begin[-1] + size[-1])]
-        minors = np.abs(r0[c] * r1[partner] - r0[partner] * r1[c])
-        runs = np.flatnonzero(np.diff(owner[lo:hi], prepend=-1))
-        rows = owner[lo:hi][runs]
-        worst[rows] = np.maximum(worst[rows], np.maximum.reduceat(minors, begin[runs]))
-    return worst
-
-
-def _search_keys(values: np.ndarray, tag: np.ndarray) -> np.ndarray:
-    """int64 keys that order nonnegative floats within a flattening and the
-    flattenings by their ``tag``: the float bits without the sign and the
-    low mantissa bits, below the tag."""
-    bits = values.view(np.int64) >> (63 - _KEY_BITS)
-    return (bits & ((1 << _KEY_BITS) - 1)) | tag
 
 
 def max_segre_residual(state: MultiQubitState) -> float:
@@ -751,8 +707,6 @@ def max_segre_residual(state: MultiQubitState) -> float:
     Evaluated as the largest 2x2 minor of the m single-qubit flattenings,
     by :func:`largest_minors`.
     """
-    if state.num_qubits < 2:
-        raise WrongQubitCountError("residuals need at least 2 qubits")
     return float(largest_minors((state.amplitudes / state.norm)[None])[0])
 
 

@@ -1,7 +1,9 @@
 import itertools
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -78,10 +80,15 @@ REPORT_SCHEMA = {
 }
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(*args, **kwargs):
+    # The child imports qtoric from this checkout, installed or not.
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "qtoric", *args],
-        capture_output=True, text=True, **kwargs,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, **kwargs,
     )
 
 
@@ -423,6 +430,8 @@ def test_tangle_prints_the_analyze_measures(source, tmp_path, capsys):
     analyzed = capsys.readouterr()
     measures = json.loads(analyzed.out)["measures"] if code == 0 else {}
     assert code == (2 if source == "0" else 0), analyzed.err
+    assert main(["segre", *argv]) == code, "segre and analyze refuse the same states"
+    capsys.readouterr()
     code = main(["tangle", *argv, "--format", "json"])
     tangled = capsys.readouterr()
     if not measures:

@@ -42,7 +42,7 @@ from qtoric import (
     verify_beta_balance,
 )
 from qtoric import toric
-from qtoric.toric import _TOP, _box_intervals_of, largest_minors
+from qtoric.toric import _TILE, _box_intervals_of, largest_minors
 from helpers import apply_local, random_product_state, random_sl2, random_state
 
 # Canonical relation counts, frozen from the exhaustive enumeration below.
@@ -577,6 +577,18 @@ def test_relation_table_qubit_cap():
     assert issubclass(QubitLimitError, WrongQubitCountError)
 
 
+def test_relation_objects_qubit_cap(monkeypatch):
+    # Refused before the table is built; the error names relation_table,
+    # which still lists m = 9 and 10.
+    def no_table(m):
+        raise AssertionError("the relation table was built")
+
+    monkeypatch.setattr(toric, "relation_table", no_table)
+    for m in (9, MAX_RELATION_QUBITS, 40):
+        with pytest.raises(QubitLimitError, match="relation_table"):
+            segre_relations(m)
+
+
 def test_relations_sorted_and_deterministic():
     relations = segre_relations(3)
     keys = [(r.lhs, r.rhs) for r in relations]
@@ -702,10 +714,11 @@ def _unit(amplitudes):
 def _certificate_states(rng, m):
     """One unit vector of each kind that the certificate treats differently.
 
-    From m = 8 the bound prunes the first four, the SL(2, C) images go
-    either way, and the rest take the dense kernel: their bound rules out
-    too few pairs (products, near products, equal weights) or is zero or
-    below 1e-150 (basis states, a basis state 1e-170 off).
+    From m = 8 the bound skips every tile but the heaviest on the first
+    four and on a basis state 1e-170 off, whose minors among the noise are
+    subnormal; it skips some tiles on the SL(2, C) images. The rest form
+    every tile: the bound rules out none on products, near products and
+    equal weights, and a basis state's lower bound is zero.
     """
     size = 1 << m
     noise = lambda: _unit(rng.standard_normal(size) + 1j * rng.standard_normal(size))
@@ -735,9 +748,9 @@ def _certificate_states(rng, m):
 def test_largest_minors_bit_identical_to_dense_matrix(m):
     # Every kind of state against the dense oracle, in one batch and one at a
     # time through max_segre_residual. Up to m = 7 the kernel forms every
-    # minor, in blocks that pack several flattenings; from m = 8 it prunes,
-    # and the batch mixes pruned rows with rows that take the dense kernel.
-    # Neither may change a single bit of the maximum.
+    # minor, in tiles that pack several flattenings; from m = 8 it skips
+    # tiles, and the batch mixes rows that skip with rows that form every
+    # tile. Neither may change a single bit of the maximum.
     rng = np.random.default_rng(40 + m)
     states = [MultiQubitState(m, v) for v in _certificate_states(rng, m).values()]
     unit = np.stack([s.amplitudes / s.norm for s in states])
@@ -748,24 +761,24 @@ def test_largest_minors_bit_identical_to_dense_matrix(m):
 
 def _hidden_maximum(rng, count, m, n, small):
     """(count, m, n) flattening rows whose largest minor lies outside the
-    _TOP heaviest columns of every flattening.
+    heaviest tile, the _TILE heaviest columns, of every flattening.
 
-    The _TOP heaviest columns, 1.2 (1, 1 + 0.001 e^it), are nearly parallel:
-    their minors are below 0.003. Next come two columns (1, 1 +- eta), eta
-    near 0.1, adjacent in weight order, whose minor 2 eta is the largest;
-    ``small`` columns 0.05 (1, -1) make minors near 0.12 with the heaviest
-    ones, and the rest weigh a few 1e-8. Every column carries a random
-    phase, and each flattening is scaled to unit weight, as a state's are.
+    The _TILE heaviest columns, 1.2 (1, 1 + 0.001 e^it), are nearly
+    parallel: their minors are below 0.003. Next come two columns
+    (1, 1 +- eta), eta near 0.1, whose minor 2 eta is the largest; ``small``
+    columns 0.05 (1, -1) make minors near 0.12 with the heaviest ones, and
+    the rest weigh a few 1e-4. Every column carries a random phase, and
+    each flattening is scaled to unit weight, as a state's are.
     """
     shape = (count, m, n)
     r0 = 1e-4 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     r1 = 1e-4 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     for row, p in itertools.product(range(count), range(m)):
-        chosen = rng.choice(n, _TOP + 2 + small, replace=False)
-        heavy, pair, rest = chosen[:_TOP], chosen[_TOP : _TOP + 2], chosen[_TOP + 2 :]
+        chosen = rng.choice(n, _TILE + 2 + small, replace=False)
+        heavy, pair, rest = chosen[:_TILE], chosen[_TILE : _TILE + 2], chosen[_TILE + 2 :]
         eta = 0.1 * (1 + rng.random())
         r0[row, p, heavy] = 1.2
-        r1[row, p, heavy] = 1.2 * (1 + 0.001 * np.exp(2j * np.pi * rng.random(_TOP)))
+        r1[row, p, heavy] = 1.2 * (1 + 0.001 * np.exp(2j * np.pi * rng.random(_TILE)))
         r0[row, p, pair] = 1.0
         r1[row, p, pair] = (1 + eta, 1 - eta)
         r0[row, p, rest] = 0.05
@@ -775,26 +788,65 @@ def _hidden_maximum(rng, count, m, n, small):
     return r0 * phase / scale, r1 * phase / scale
 
 
-def test_pruned_largest_minors_finds_maxima_outside_the_top_block(monkeypatch):
-    # The lower bound from the heaviest columns is below a fiftieth of the
-    # answer, so the answer comes from the surviving pairs: about 1,800 per
-    # flattening, 44,000 over the batch, which spans three evaluation
-    # chunks. No row may fall back to the dense kernel. Several of the 24
-    # maxima change their last bit when a product is formed with r1 first.
+def _tiles_formed(monkeypatch, r0, r1):
+    """The kernel's result on (r0, r1), and how many flattening tiles it
+    formed: one product per diagonal tile and two per other tile, each
+    counted once per flattening."""
+    multiply, formed = np.multiply, []
+
+    def counting(*args, out):
+        formed.append(len(out))
+        return multiply(*args, out=out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "multiply", counting)
+        worst = toric._tiled_largest_minors(r0, r1)
+    return worst.tolist(), sum(formed)
+
+
+def test_largest_minors_finds_maxima_outside_the_heaviest_tile(monkeypatch):
+    # The lower bound from the heaviest tile is below a fiftieth of the
+    # answer, so the answer comes from the tiles the bound keeps: those of
+    # the pair and of the small columns, but not those of the light rest.
+    # The 24 flattenings span two blocks of four rows and two. Several of
+    # the maxima change their last bit when a product is formed with r1
+    # first.
     rng = np.random.default_rng(53)
-    r0, r1 = _hidden_maximum(rng, count=6, m=4, n=512, small=45)
+    count, m, n = 6, 4, 512
+    r0, r1 = _hidden_maximum(rng, count, m, n, small=45)
     want, top = [], []
     for a0, a1 in zip(r0, r1):
         want.append(max(_oracle_minor(f0, f1) for f0, f1 in zip(a0, a1)))
-        heaviest = [np.argsort(abs(f0) ** 2 + abs(f1) ** 2)[-_TOP:] for f0, f1 in zip(a0, a1)]
+        heaviest = [np.argsort(abs(f0) ** 2 + abs(f1) ** 2)[-_TILE:] for f0, f1 in zip(a0, a1)]
         top.append(max(_oracle_minor(f0[h], f1[h]) for f0, f1, h in zip(a0, a1, heaviest)))
     assert all(50 * t < w for t, w in zip(top, want))
+    got, formed = _tiles_formed(monkeypatch, r0, r1)
+    assert got == want
+    assert count * m < formed < count * m * (n // _TILE) ** 2 // 4
 
-    def no_fallback(r0, r1):
-        raise AssertionError("a row fell back to the dense kernel")
 
-    monkeypatch.setattr(toric, "_dense_largest_minors", no_fallback)
-    assert toric._pruned_largest_minors(r0, r1).tolist() == want
+def test_largest_minors_skips_tiles(monkeypatch):
+    # Every bit-identity test also passes a kernel that never skips a tile.
+    # On states far from the Segre variety, and on a basis state 1e-160 off
+    # whose minors among the noise are subnormal, the kernel must form only
+    # a few of the (n / _TILE)^2 tile products of each flattening.
+    rng = np.random.default_rng(57)
+    for m in (10, 12):
+        size = 1 << m
+        noise = _unit(rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        basis = np.zeros(size)
+        basis[rng.integers(size)] = 1.0
+        columns = toric._flattening_columns(m)
+        for state in (
+            random_state(rng, m).amplitudes,
+            named_state(f"ghz{m}").amplitudes + 1e-3 * noise,
+            basis + 1e-160 * noise,
+        ):
+            unit = _unit(state)
+            r0, r1 = unit[None].take(columns[0], axis=1), unit[None].take(columns[1], axis=1)
+            got, formed = _tiles_formed(monkeypatch, r0, r1)
+            assert got == [_dense_largest_minor(unit, m)]
+            assert formed <= 4 * m < m * (r0.shape[2] // _TILE) ** 2
 
 
 @settings(max_examples=40, deadline=None)
