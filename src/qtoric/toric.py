@@ -18,7 +18,8 @@ the amplitudes with bit ``j`` clear and set (Landsberg, *Tensors: Geometry
 and Applications*, 2012). :func:`largest_minors` finds the largest of them
 directly, in square tiles of the minor matrices: up to m = 7 from every
 tile, and from m = 8 skipping the tiles that Hadamard's inequality on the
-column norms rules out, with the same result to the bit.
+column norms or the three-term Pluecker relations rule out, with the same
+result to the bit.
 :func:`relation_table` enumerates the relations as an integer array, and
 :func:`segre_relations` wraps its rows as objects up to m = 8.
 
@@ -554,24 +555,60 @@ _TILE = 32
 """Side of the square tiles in which :func:`_tiled_largest_minors` forms
 minor matrices."""
 
-_BLOCK = 1 << 14
-"""Complex entries of each buffer of :func:`_tiled_largest_minors`, 256 KB:
-the same tile is formed at once for the flattenings of as many whole rows
-as fill it, at least one row."""
+_BLOCK = 7 << 10
+"""Complex entries of a tile buffer of :func:`_tiled_largest_minors`, 112
+KiB: below glibc's 128 KiB mmap threshold, so the buffers come from the heap
+and not from pages mapped afresh on every call. A block holds the
+flattenings of as many whole rows as fill a buffer, at least one row; a row
+that does not fit is formed in equal pieces."""
+
+_PIECED_TILES = 8
+"""Most tiles that a block forms in pieces after its heaviest, which on
+most states is the only one. Past this many it forms them in buffers of the
+whole block: one mapping per call then costs less than the extra calls of
+the pieces, as on graph states, which form every tile."""
 
 _PRUNE_COLUMNS = 64
-"""Flattenings of more columns than this, m >= 8, skip tiles by the bound;
-smaller ones cost less whole than the bound costs."""
+"""Flattenings of more columns than this, m >= 8, skip tiles by the bounds;
+smaller ones cost less whole than the bounds cost."""
 
 _SLACK = 2.0**-32
 """Relative margin of the skip threshold, far above the rounding error of
 the norms, their products and the minors (a few units of 2^-53)."""
 
 _TINY = 1e-300
-"""Least lower bound L that skips tiles. Norms are taken without squares,
-so only a norm product or a minor below the normal range can underflow, and
-each underflow errs by at most 2^-1074, far below L 2^-32 for L above this
-floor. Rows whose L is below it, or NaN, form every tile."""
+"""Least lower bound L that skips tiles by the bounds. Norms are taken
+without squares, so only a product of norms, of a norm and a minor, or a
+minor itself below the normal range can underflow, and each underflow errs
+by at most 2^-1074, which the bounds' division by the heaviest norm (at
+least 2^-5.5 on a unit row) leaves far below L 2^-32 for L above this floor.
+Rows whose L is below it, or NaN, form every tile but those of zero
+columns."""
+
+_PLUECKER_SLACK = 2.0**-40
+"""Relative margin of the Pluecker bound for the rounding of the norms
+(within 4u each, u = 2^-53) and of the bound's own five operations."""
+
+_MINOR_ERROR = 2.0**-49
+"""K = 16u, the rounding term of the Pluecker bound, in units of the norm
+product of a tile.
+
+A complex product errs by at most sqrt(5) u of its modulus (Brent, Percival
+and Zimmermann, 2007; 2u with FMA), a complex difference by u of its
+modulus, and numpy's complex abs by one ulp, at most 2u. So the computed
+|minor| a_cd of columns c and d is within (sqrt(5) + 1) u S + 2u S of the
+exact |P_cd|, where S = |r0[c] r1[d]| + |r0[d] r1[c]| <= n_c n_d by
+Cauchy-Schwarz: within e n_c n_d, e = (sqrt(5) + 3) u, to first order. The
+relation gives |P_cd| <= (|P_pd| n_c + |P_pc| n_d) / n_p, and each exact
+pivot minor |P_pd| exceeds the computed a_pd by at most e n_p n_d, so
+
+    a_cd <= (a_pd n_c + a_pc n_d) / n_p + 3e n_c n_d,
+
+with 3e = 15.71u. The norms are within 4u, which moves the last term by
+O(u^2) and the first by far less than ``_PLUECKER_SLACK``. On 300 exact and
+near products at m = 6-9, some mapped by SL(2, C), thinned to a tenth or
+with half their amplitudes scaled by 1e-200, the largest term needed was
+2.25u."""
 
 _CHUNK = 1 << 14
 """Amplitudes gathered per row chunk."""
@@ -588,11 +625,14 @@ def largest_minors(unit) -> np.ndarray:
     the bit.
 
     Up to m = 7 every minor is formed. Above, :func:`_tiled_largest_minors`
-    skips the tiles of the minor matrices that a Hadamard bound rules out:
-    on states far from the Segre variety every tile but the heaviest, which
-    at m = 12 is one tile of 32 x 32 in each 2048 x 2048 minor matrix. The
-    bound rules out nothing on exact and near products, or on states whose
-    columns all weigh the same, so those still cost O(m 4^m).
+    skips the tiles of the minor matrices that a bound rules out. Hadamard's
+    bound skips every tile but the heaviest on states far from the Segre
+    variety: at m = 12 it forms one tile of 32 x 32 in each 2048 x 2048
+    minor matrix. A bound from the Pluecker relations keeps a few dozen
+    tiles of exact and near products, and no tile of a zero column is
+    formed, so a basis state forms only the heaviest. States whose columns
+    all weigh the same, such as uniform and graph states, still form every
+    tile, at O(m 4^m).
     """
     unit = np.asarray(unit, dtype=complex)
     size = unit.shape[1] if unit.ndim == 2 else 0
@@ -638,22 +678,23 @@ def _tiled_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
     and J is ``r0[I, None] * r1[None, J] - r0[None, J] * r1[I, None]``,
     ``_TILE`` on a side, and a diagonal tile reads its second term as the
     transpose of its first. Each tile is formed at once for the flattenings
-    of the whole rows of one block, in the same three buffers.
+    of the whole rows of one block, in three buffers: in pieces of at most
+    ``_BLOCK`` entries for the heaviest tile and for up to ``_PIECED_TILES``
+    more, else for the whole block at once.
 
     Above ``_PRUNE_COLUMNS`` columns, each flattening's columns are sorted
     by their norm ``hypot(|r0|, |r1|)``. The last tile, of the heaviest
     columns, is formed first, and its largest minor over a row's m
-    flattenings is a lower bound L of the row's answer. By Hadamard's
-    inequality no minor of a tile exceeds the norm product of its last row
-    and column; the tiles where that product is at most
-    ``L / (1 + _SLACK)`` on every flattening of the block are skipped, all
-    decided at once. A skipped minor cannot exceed L and every other one is
-    formed as without the skip, so the result is the same to the bit.
+    flattenings is a lower bound L of the row's answer; :func:`_needed_tiles`
+    then picks, once per block, the tiles that a bound cannot rule out on
+    every flattening of the block. A skipped minor cannot exceed L and every
+    other one is formed as without the skip, so the result is the same to
+    the bit.
     """
     count, m, n = r0.shape
     side = min(n, _TILE)
     spans = [slice(i, i + side) for i in range(0, n, side)]
-    tiles = [(i, j) for i in range(len(spans)) for j in range(i, len(spans))]
+    last = len(spans) - 1
     prune = n > _PRUNE_COLUMNS
     if prune:
         norms = np.empty(r0.shape, dtype=complex)
@@ -664,41 +705,108 @@ def _tiled_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
         order += np.arange(0, r0.size, n).reshape(count, m, 1)
         r0, r1 = r0.take(order), r1.take(order)
         heads = norms.take(order[:, :, side - 1 :: side])  # each tile's heaviest column
+    else:
+        tiles = [(i, j) for i in range(last + 1) for j in range(i, last + 1)]
     r0, r1 = r0.reshape(-1, n), r1.reshape(-1, n)
     per_block = min(count, max(1, _BLOCK // (m * side * side))) * m
-    products = np.empty((per_block, side, side), dtype=complex)
-    minors = np.empty_like(products)
-    sizes = np.empty(products.shape)
+    per_piece = math.ceil(per_block / math.ceil(per_block * side * side / _BLOCK))
+    buffers = {}
+
+    def fit(pieces, size):
+        """Each piece of flattening rows with the buffers it is formed in."""
+        if size not in buffers:
+            products = np.empty((size, side, side), dtype=complex)
+            buffers[size] = products, np.empty_like(products), np.empty(products.shape)
+        return [piece + tuple(b[: len(piece[0])] for b in buffers[size]) for piece in pieces]
+
+    def form(i, j, work):
+        block_i, block_j = spans[i], spans[j]
+        for b0, b1, top, d, e, a in work:
+            np.multiply(b0[:, block_i, None], b1[:, None, block_j], out=d)
+            if i == j:
+                np.subtract(d, d.transpose(0, 2, 1), out=e)
+            else:
+                np.multiply(b0[:, None, block_j], b1[:, block_i, None], out=e)
+                np.subtract(d, e, out=e)
+            np.abs(e, out=a)
+            np.maximum(top, a.max(axis=(1, 2)), out=top)
+
     worst = np.zeros(len(r0))
     for start in range(0, len(r0), per_block):
         a0, a1 = r0[start : start + per_block], r1[start : start + per_block]
-        k = len(a0)
-        d, e, a = products[:k], minors[:k], sizes[:k]
-        best = worst[start : start + k]
-
-        def form(block_i, block_j):
-            np.multiply(a0[:, block_i, None], a1[:, None, block_j], out=d)
-            if block_i == block_j:
-                np.subtract(d, d.transpose(0, 2, 1), out=e)
-            else:
-                np.multiply(a0[:, None, block_j], a1[:, block_i, None], out=e)
-                np.subtract(d, e, out=e)
-            np.abs(e, out=a)
-            np.maximum(best, a.reshape(k, -1).max(axis=1), out=best)
-
-        todo = tiles
+        best = worst[start : start + len(a0)]
+        whole = [(a0, a1, best)]
+        pieces = whole
+        if len(a0) > per_piece:  # one row too large for the buffers
+            pieces = [
+                (a0[low : low + per_piece], a1[low : low + per_piece], best[low : low + per_piece])
+                for low in range(0, len(a0), per_piece)
+            ]
+        work = fit(pieces, per_piece)
         if prune:
-            form(spans[-1], spans[-1])
-            lower = best.reshape(-1, m).max(axis=1)
-            threshold = np.where(lower >= _TINY, lower / (1.0 + _SLACK), -1.0)
-            bound = heads[start // m : (start + k) // m]
-            bound = bound[..., :, None] * bound[..., None, :]
-            needed = np.triu((bound > threshold[:, None, None, None]).any(axis=(0, 1)))
-            needed[-1, -1] = False  # formed first
-            todo = zip(*np.nonzero(needed))
-        for i, j in todo:
-            form(spans[i], spans[j])
+            form(last, last, work)
+            tiles = _needed_tiles(a0, a1, heads[start // m : (start + len(a0)) // m], best)
+            if len(tiles) > _PIECED_TILES:
+                work = fit(whole, per_block)
+        for i, j in tiles:
+            form(i, j, work)
     return worst.reshape(count, m).max(axis=1)
+
+
+def _needed_tiles(
+    r0: np.ndarray, r1: np.ndarray, heads: np.ndarray, best: np.ndarray
+) -> list[tuple[int, int]]:
+    """The tiles (i, j), i <= j, that one block must form after its heaviest.
+
+    ``r0`` and ``r1`` are the block's (R m, n) flattening rows, columns
+    sorted by norm; ``heads`` is the (R, m, n / _TILE) array of each span's
+    largest norm, and ``best`` each flattening's largest minor so far. A
+    tile is needed when on some flattening of the block its bound exceeds
+    the row's lower bound L over ``1 + _SLACK``, or L is below ``_TINY``.
+
+    The first bound is Hadamard's, ``|P_cd| <= n_c n_d``: no minor of tile
+    (I, J) exceeds ``N_I N_J``, the product of its heads. On states far from
+    the Segre variety it leaves only the heaviest tile. Where it leaves
+    more, two things follow.
+
+    A zero head becomes NaN, on which every bound compares false, so the
+    tiles of a span of zero columns are skipped whatever L is: each of their
+    minors is exactly 0. The heads are tested for zero one by one, because
+    the product of two nonzero heads can underflow.
+
+    The second bound comes from the three-term Pluecker relation of columns
+    x_c, x_d and the heaviest column x_p, ``P_cd x_p = P_pd x_c - P_pc
+    x_d``, so ``|P_cd| <= (|P_pd| n_c + |P_pc| n_d) / n_p``. The pivot
+    minors ``|P_pc|`` cost O(n) per flattening. They are formed as the tiles
+    form minor (c, p), so they are folded into ``best`` first, which raises
+    L. With T_I their largest value over span I, tile (I, J) is bounded by
+    ``(N_I T_J + N_J T_I) / n_p (1 + _PLUECKER_SLACK) + _MINOR_ERROR N_I
+    N_J``, which also covers the rounding of every minor involved. On exact
+    and near products it rules out all but the heaviest few tiles.
+    """
+    rows, m, _ = heads.shape
+
+    def needed_by(bound):
+        lower = best.reshape(rows, m).max(axis=1)
+        threshold = np.where(lower >= _TINY, lower / (1.0 + _SLACK), -1.0)
+        needed = (bound > threshold[:, None, None, None]).any(axis=(0, 1))
+        needed[-1, -1] = False  # formed first
+        return needed
+
+    needed = needed_by(heads[..., :, None] * heads[..., None, :])
+    if not needed.any():
+        return []
+    heads = np.where(heads == 0, np.nan, heads)
+    head_i, head_j = heads[..., :, None], heads[..., None, :]
+    hadamard = head_i * head_j
+    pivot = np.abs(r0 * r1[:, -1:] - r0[:, -1:] * r1)
+    np.maximum(best, pivot.max(axis=1), out=best)
+    reach = pivot.reshape(heads.shape + (-1,)).max(axis=3)
+    pluecker = head_i * reach[..., None, :] + head_j * reach[..., :, None]
+    pluecker /= heads[..., -1:, None]
+    pluecker = pluecker * (1.0 + _PLUECKER_SLACK) + _MINOR_ERROR * hadamard
+    needed = needed_by(np.minimum(hadamard, pluecker))
+    return [(i, j) for i, j in zip(*np.nonzero(needed)) if i <= j]  # the bounds are symmetric
 
 
 def max_segre_residual(state: MultiQubitState) -> float:

@@ -714,16 +714,20 @@ def _unit(amplitudes):
 def _certificate_states(rng, m):
     """One unit vector of each kind that the certificate treats differently.
 
-    From m = 8 the bound skips every tile but the heaviest on the first
-    four and on a basis state 1e-170 off, whose minors among the noise are
-    subnormal; it skips some tiles on the SL(2, C) images. The rest form
-    every tile: the bound rules out none on products, near products and
-    equal weights, and a basis state's lower bound is zero.
+    From m = 8 the Hadamard bound skips every tile but the heaviest on the
+    first four and on a basis state 1e-170 off, whose minors among the noise
+    are subnormal, and some tiles on the SL(2, C) images of GHZ and W. On
+    products, near products and their SL(2, C) images it rules out none; the
+    Pluecker bound skips all but the heaviest few there, and most of the
+    rest on the GHZ and W images. A basis state's lower bound is zero, but
+    every tile with a zero column is skipped. Uniform and graph states,
+    whose columns all weigh the same, form every tile.
     """
     size = 1 << m
     noise = lambda: _unit(rng.standard_normal(size) + 1j * rng.standard_normal(size))
     ghz = named_state(f"ghz{m}")
     product = _unit(random_product_state(rng, m).amplitudes)
+    moved = apply_local(random_product_state(rng, m), [random_sl2(rng) for _ in range(m)])
     basis = np.zeros(size)
     basis[rng.integers(size)] = 1.0
     scales = np.where(rng.random(size) < 0.5, 1e-200, 1.0)  # products underflow
@@ -737,6 +741,9 @@ def _certificate_states(rng, m):
         "ghz under sl2": apply_local(ghz, [random_sl2(rng) for _ in range(m)]).amplitudes,
         "product": product,
         "near product": product + 1e-9 * noise(),
+        "product under sl2": moved.amplitudes,
+        "1e-15 off a product under sl2": _unit(moved.amplitudes) + 1e-15 * noise(),
+        "1e-6 off a product": product + 1e-6 * noise(),
         "uniform": np.ones(size),
         "graph": (-1.0) ** np.array(path),
         "basis": basis,
@@ -808,11 +815,10 @@ def test_largest_minors_finds_maxima_outside_the_heaviest_tile(monkeypatch):
     # The lower bound from the heaviest tile is below a fiftieth of the
     # answer, so the answer comes from the tiles the bound keeps: those of
     # the pair and of the small columns, but not those of the light rest.
-    # The 24 flattenings span two blocks of four rows and two. Several of
-    # the maxima change their last bit when a product is formed with r1
-    # first.
+    # The 24 flattenings form four blocks of two rows. Several of the
+    # maxima change their last bit when a product is formed with r1 first.
     rng = np.random.default_rng(53)
-    count, m, n = 6, 4, 512
+    count, m, n = 8, 3, 512
     r0, r1 = _hidden_maximum(rng, count, m, n, small=45)
     want, top = [], []
     for a0, a1 in zip(r0, r1):
@@ -827,26 +833,82 @@ def test_largest_minors_finds_maxima_outside_the_heaviest_tile(monkeypatch):
 
 def test_largest_minors_skips_tiles(monkeypatch):
     # Every bit-identity test also passes a kernel that never skips a tile.
-    # On states far from the Segre variety, and on a basis state 1e-160 off
-    # whose minors among the noise are subnormal, the kernel must form only
-    # a few of the (n / _TILE)^2 tile products of each flattening.
+    # The kernel must form only a few of the (n / _TILE)^2 tile products of
+    # each flattening: by the Hadamard bound on states far from the Segre
+    # variety and on a basis state 1e-160 off, whose minors among the noise
+    # are subnormal; by the zero columns on an exact basis state, whose
+    # lower bound is zero; and by the Pluecker bound on exact products and
+    # products 1e-9 off, where the Hadamard bound rules out no tile.
     rng = np.random.default_rng(57)
     for m in (10, 12):
         size = 1 << m
         noise = _unit(rng.standard_normal(size) + 1j * rng.standard_normal(size))
         basis = np.zeros(size)
         basis[rng.integers(size)] = 1.0
+        product = _unit(random_product_state(rng, m).amplitudes)
         columns = toric._flattening_columns(m)
-        for state in (
-            random_state(rng, m).amplitudes,
-            named_state(f"ghz{m}").amplitudes + 1e-3 * noise,
-            basis + 1e-160 * noise,
+        for state, limit in (
+            (random_state(rng, m).amplitudes, m),
+            (named_state(f"ghz{m}").amplitudes + 1e-3 * noise, m),
+            (basis + 1e-160 * noise, m),
+            (basis, m),
+            (product, 40 * m),
+            (product + 1e-9 * noise, 40 * m),
         ):
             unit = _unit(state)
             r0, r1 = unit[None].take(columns[0], axis=1), unit[None].take(columns[1], axis=1)
             got, formed = _tiles_formed(monkeypatch, r0, r1)
             assert got == [_dense_largest_minor(unit, m)]
-            assert formed <= 4 * m < m * (r0.shape[2] // _TILE) ** 2
+            assert formed <= limit < m * (r0.shape[2] // _TILE) ** 2 // 4
+
+
+def _pluecker_bound(r0, r1):
+    """The pairwise Pluecker bound of every minor of one flattening, with
+    the kernel's constants, and its computed |minors|.
+
+    The minor of columns c and d is bounded by the computed pivot minors of
+    the heaviest column p: (|P_pd| n_c + |P_pc| n_d) / n_p (1 + slack) plus
+    K n_c n_d, the kernel's tile bound taken at single columns.
+    """
+    norms = np.hypot(abs(r0), abs(r1))
+    p = norms.argmax()
+    pivot = abs(r0 * r1[p] - r0[p] * r1)  # minor (c, p), r0 first in each product
+    d = np.multiply.outer(r0, r1)
+    minors = abs(d - d.T)
+    main = (np.multiply.outer(pivot, norms) + np.multiply.outer(norms, pivot)) / norms[p]
+    bound = main * (1 + toric._PLUECKER_SLACK) + toric._MINOR_ERROR * np.multiply.outer(norms, norms)
+    return minors, bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(min_value=6, max_value=10),
+    offset=st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6]),
+    transform=st.sampled_from([None, "sl2", "sparse", "scaled"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_largest_minors_pluecker_bound_holds_per_minor(m, offset, transform, seed):
+    # The rounding term K of the Pluecker bound must cover every computed
+    # minor on exact and near products, where it is the whole bound: under
+    # SL(2, C) on every qubit, thinned to a tenth of the amplitudes, or
+    # with half of them scaled by 1e-200, so that products underflow.
+    rng = np.random.default_rng(seed)
+    state = random_product_state(rng, m)
+    if transform == "sl2":
+        state = apply_local(state, [random_sl2(rng) for _ in range(m)])
+    amplitudes = _unit(state.amplitudes)
+    amplitudes += offset * _unit(rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m))
+    if transform == "sparse":
+        keep = rng.random(1 << m) < 0.1
+        keep[abs(amplitudes).argmax()] = True
+        amplitudes = np.where(keep, amplitudes, 0)
+    elif transform == "scaled":
+        amplitudes = np.where(rng.random(1 << m) < 0.5, 1e-200, 1.0) * amplitudes
+    unit = _unit(amplitudes)
+    for position in range(m):
+        rows = unit.reshape(1 << position, 2, -1)
+        minors, bound = _pluecker_bound(rows[:, 0].ravel(), rows[:, 1].ravel())
+        assert (minors <= bound).all()
 
 
 @settings(max_examples=40, deadline=None)
