@@ -562,12 +562,6 @@ and not from pages mapped afresh on every call. A block holds the
 flattenings of as many whole rows as fill a buffer, at least one row; a row
 that does not fit is formed in equal pieces."""
 
-_PIECED_TILES = 8
-"""Most tiles that a block forms in pieces after its heaviest, which on
-most states is the only one. Past this many it forms them in buffers of the
-whole block: one mapping per call then costs less than the extra calls of
-the pieces, as on graph states, which form every tile."""
-
 _PRUNE_COLUMNS = 64
 """Flattenings of more columns than this, m >= 8, skip tiles by the bounds;
 smaller ones cost less whole than the bounds cost."""
@@ -678,9 +672,8 @@ def _tiled_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
     and J is ``r0[I, None] * r1[None, J] - r0[None, J] * r1[I, None]``,
     ``_TILE`` on a side, and a diagonal tile reads its second term as the
     transpose of its first. Each tile is formed at once for the flattenings
-    of the whole rows of one block, in three buffers: in pieces of at most
-    ``_BLOCK`` entries for the heaviest tile and for up to ``_PIECED_TILES``
-    more, else for the whole block at once.
+    of the whole rows of one block, in three buffers of at most ``_BLOCK``
+    entries, in pieces where one row does not fit.
 
     Above ``_PRUNE_COLUMNS`` columns, each flattening's columns are sorted
     by their norm ``hypot(|r0|, |r1|)``. The last tile, of the heaviest
@@ -710,14 +703,8 @@ def _tiled_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
     r0, r1 = r0.reshape(-1, n), r1.reshape(-1, n)
     per_block = min(count, max(1, _BLOCK // (m * side * side))) * m
     per_piece = math.ceil(per_block / math.ceil(per_block * side * side / _BLOCK))
-    buffers = {}
-
-    def fit(pieces, size):
-        """Each piece of flattening rows with the buffers it is formed in."""
-        if size not in buffers:
-            products = np.empty((size, side, side), dtype=complex)
-            buffers[size] = products, np.empty_like(products), np.empty(products.shape)
-        return [piece + tuple(b[: len(piece[0])] for b in buffers[size]) for piece in pieces]
+    products = np.empty((per_piece, side, side), dtype=complex)
+    minors, sizes = np.empty_like(products), np.empty(products.shape)
 
     def form(i, j, work):
         block_i, block_j = spans[i], spans[j]
@@ -735,19 +722,19 @@ def _tiled_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
     for start in range(0, len(r0), per_block):
         a0, a1 = r0[start : start + per_block], r1[start : start + per_block]
         best = worst[start : start + len(a0)]
-        whole = [(a0, a1, best)]
-        pieces = whole
+        pieces = [(a0, a1, best)]
         if len(a0) > per_piece:  # one row too large for the buffers
             pieces = [
                 (a0[low : low + per_piece], a1[low : low + per_piece], best[low : low + per_piece])
                 for low in range(0, len(a0), per_piece)
             ]
-        work = fit(pieces, per_piece)
+        work = [
+            (b0, b1, top, products[: len(b0)], minors[: len(b0)], sizes[: len(b0)])
+            for b0, b1, top in pieces
+        ]
         if prune:
             form(last, last, work)
             tiles = _needed_tiles(a0, a1, heads[start // m : (start + len(a0)) // m], best)
-            if len(tiles) > _PIECED_TILES:
-                work = fit(whole, per_block)
         for i, j in tiles:
             form(i, j, work)
     return worst.reshape(count, m).max(axis=1)

@@ -815,10 +815,11 @@ def test_largest_minors_finds_maxima_outside_the_heaviest_tile(monkeypatch):
     # The lower bound from the heaviest tile is below a fiftieth of the
     # answer, so the answer comes from the tiles the bound keeps: those of
     # the pair and of the small columns, but not those of the light rest.
-    # The 24 flattenings form four blocks of two rows. Several of the
-    # maxima change their last bit when a product is formed with r1 first.
+    # The 21 flattenings form blocks of two, two, two and one row. Several
+    # of the maxima change their last bit when a product is formed with r1
+    # first.
     rng = np.random.default_rng(53)
-    count, m, n = 8, 3, 512
+    count, m, n = 7, 3, 512
     r0, r1 = _hidden_maximum(rng, count, m, n, small=45)
     want, top = [], []
     for a0, a1 in zip(r0, r1):
