@@ -44,6 +44,7 @@ from .states import (
     check_qubit_count,
     inner_product,
     segre_embed,
+    unit_vectors,
 )
 from .toric import largest_minors, max_segre_residual
 
@@ -175,8 +176,7 @@ def analyze_many(amplitudes, tol: float = DEFAULT_TOLERANCE) -> list[AnalysisRep
         raise NonFiniteAmplitudeError("amplitudes contain NaN or infinite entries")
     if not batch.any(axis=1).all():
         raise ZeroStateError("the zero vector does not define a state")
-    scale = np.abs(batch).max(axis=1, keepdims=True)
-    unit = batch / (scale * np.linalg.norm(batch / scale, axis=1, keepdims=True))
+    unit = unit_vectors(batch)[0]
     residuals = largest_minors(unit)
 
     # Pivot extraction, as in extract_factors: factor j is read off the pair

@@ -49,6 +49,7 @@ from .states import (
     segre_embed,
     state_from_dict,
     state_to_dict,
+    unit_vectors,
 )
 from .toric import RELATION_TEXT, cube, delzant_check, lattice_points, normal_fan_box
 from .toric import max_segre_residual, relation_table
@@ -257,7 +258,7 @@ def _cmd_segre(args) -> int:
         state = _resolve_state(args)
         m = state.num_qubits
         table = relation_table(m)
-        a = state.amplitudes / state.norm
+        a = unit_vectors(state.amplitudes)[0]
         x, y, u, v = table[:, :4].T
         residuals = np.abs(a[x] * a[y] - a[u] * a[v])
         largest = max_segre_residual(state)

@@ -537,18 +537,18 @@ def segre_relations(m: int) -> tuple[BinomialRelation, ...]:
 def relation_residual(state: MultiQubitState, relation: BinomialRelation) -> float:
     """``|a[x] a[y] - a[x'] a[y']|`` on the unit-normalized amplitudes.
 
-    Only the four amplitudes are divided by the norm, each exactly as a
-    division of the whole vector would divide it.
+    Evaluated in Python complex arithmetic on the state's unit vector, which
+    :func:`~qtoric.states.unit_vectors` forms once per state; the result
+    is bit-identical to the same expression on numpy scalars.
     """
     if state.num_qubits != relation.num_qubits:
         raise DimensionMismatchError(
             f"state has {state.num_qubits} qubits, relation indexes {relation.num_qubits}"
         )
-    a = state.amplitudes
-    norm = state.norm
+    a = state._unit_list
     x, y = relation.lhs
     u, v = relation.rhs
-    return float(abs(a[x] / norm * (a[y] / norm) - a[u] / norm * (a[v] / norm)))
+    return abs(a[x] * a[y] - a[u] * a[v])
 
 
 _TILE = 32
@@ -802,7 +802,7 @@ def max_segre_residual(state: MultiQubitState) -> float:
     Evaluated as the largest 2x2 minor of the m single-qubit flattenings,
     by :func:`largest_minors`.
     """
-    return float(largest_minors((state.amplitudes / state.norm)[None])[0])
+    return float(largest_minors(state._unit[None])[0])
 
 
 def verify_beta_balance(relation: BinomialRelation, exponents: ExponentSet) -> bool:

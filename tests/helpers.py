@@ -1,6 +1,9 @@
-"""Shared test utilities: random ensembles and local-operator application."""
+"""Shared test utilities: random ensembles, local-operator application and
+the environment of child processes."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -55,3 +58,13 @@ def aligned_distance(a: MultiQubitState, b: MultiQubitState) -> float:
         return math.sqrt(2.0)
     phase = overlap / abs(overlap)
     return float(np.linalg.norm(ub.amplitudes - phase * ua.amplitudes))
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a child Python process, which then imports qtoric
+    from this checkout, installed or not."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

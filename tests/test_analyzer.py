@@ -202,6 +202,30 @@ def test_analyze_any_scale(m):
             assert np.allclose(got, want, rtol=0, atol=1e-15), scale
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_analyze_subnormal_scale(m):
+    # Integer entries times 2^-1070 are exact subnormals, so the state is the
+    # unscaled one to the bit, and both routes must give the unscaled report.
+    rng = np.random.default_rng(80 + m)
+    entangled = rng.integers(-8, 9, size=(2, 1 << m)).T @ [1, 1j]
+    entangled[0] = 1  # not the zero vector
+    pairs = rng.choice([-3, -2, -1, 1, 2, 3], size=(m, 2)) + 0j
+    product = segre_embed([QubitFactor(a0, a1) for a0, a1 in pairs]).amplitudes
+    for amplitudes in (entangled, product):
+        tiny = amplitudes * 2.0**-1070
+        assert np.array_equal(tiny * 2.0**535 * 2.0**535, amplitudes)
+        want = analyze(MultiQubitState(m, amplitudes)).to_dict()
+        assert analyze(MultiQubitState(m, tiny)).to_dict() == want
+        assert analyze_many([tiny])[0].to_dict() == analyze_many([amplitudes])[0].to_dict()
+    assert want["separable"]
+    # Below 2^-1024 numpy's complex division overflows the reciprocal of the norm.
+    state = MultiQubitState(2, [1e-310, 0.5e-310j, 0, 0])
+    assert math.isfinite(state.norm)
+    for report in (analyze(state).to_dict(), analyze_many([state.amplitudes])[0].to_dict()):
+        assert report["separable"]
+        assert all(math.isfinite(x) for x in _flat_numbers(report))
+
+
 def test_borderline_flag():
     report = analyze(named_state("bell"), tol=0.051)
     assert report.borderline  # residual 0.5 is within 10x of 0.051

@@ -1,9 +1,7 @@
 import itertools
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -20,7 +18,7 @@ from qtoric import (
     state_to_dict,
 )
 from qtoric.cli import _fmt, main
-from helpers import random_product_state, random_state
+from helpers import child_env, random_product_state, random_state
 
 STATE_SCHEMA = {
     "type": "object",
@@ -80,15 +78,10 @@ REPORT_SCHEMA = {
 }
 
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-
-
 def run_cli(*args, **kwargs):
-    # The child imports qtoric from this checkout, installed or not.
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "qtoric", *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, **kwargs,
+        capture_output=True, text=True, env=child_env(), **kwargs,
     )
 
 

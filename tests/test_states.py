@@ -28,6 +28,7 @@ from qtoric import (
     state_from_dict,
     state_to_dict,
 )
+from qtoric.states import unit_vectors
 from helpers import random_factor, random_product_state, random_state
 
 
@@ -71,6 +72,25 @@ def test_conjugate_real_fixed_point():
 def test_conjugate_imaginary():
     s = make_state(1, [1j, 0], normalize=False)
     assert np.array_equal(conjugate_state(s).amplitudes, [-1j, 0])
+
+
+def test_unit_vectors_whole_finite_range():
+    # Scaling by a power of two changes no bit of a unit vector, from the
+    # subnormal range to the top of the float range; a batch gives each row
+    # the bits it gets alone; the norms scale with the vectors.
+    rng = np.random.default_rng(23)
+    rows = rng.integers(-(2**20), 2**20, size=(3, 16, 2)) @ [1, 1j]
+    unit, norms = unit_vectors(rows)
+    assert np.allclose(unit, rows / np.linalg.norm(rows, axis=1, keepdims=True), rtol=0, atol=1e-15)
+    for k in (-1050, -600, 600, 1000):
+        scaled_unit, scaled_norms = unit_vectors(rows * 2.0**k)
+        assert np.array_equal(scaled_unit, unit), k
+        assert np.allclose(scaled_norms / 2.0**k, norms, rtol=1e-12, atol=0), k
+    for row, want, norm in zip(rows, unit, norms):
+        single_unit, single_norm = unit_vectors(row)
+        assert np.array_equal(single_unit, want) and single_norm == norm
+    top_unit, top_norm = unit_vectors(np.full(8, 1.7e308 * (1 + 1j)))
+    assert np.array_equal(top_unit, unit_vectors(np.full(8, 1 + 1j))[0]) and top_norm == np.inf
 
 
 def test_conjugate_involution_preserves_norm():

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import itertools
 import math
 import subprocess
@@ -38,12 +40,14 @@ from qtoric import (
     relation_residual,
     relation_table,
     segre_relations,
+    state_to_dict,
     unit_cube_exponents,
     verify_beta_balance,
 )
 from qtoric import toric
+from qtoric.states import unit_vectors
 from qtoric.toric import _TILE, _box_intervals_of, largest_minors
-from helpers import apply_local, random_product_state, random_sl2, random_state
+from helpers import apply_local, child_env, random_product_state, random_sl2, random_state
 
 # Canonical relation counts, frozen from the exhaustive enumeration below.
 RELATION_COUNTS = {2: 1, 3: 12, 4: 88}
@@ -260,7 +264,9 @@ def test_thin_triangle_is_delzant():
 
 def test_runs_without_scipy():
     script = Path(__file__).with_name("no_scipy_check.py")
-    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    result = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, env=child_env()
+    )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "no-scipy check passed\n"
 
@@ -625,15 +631,28 @@ def test_relation_residual_ghz():
 
 
 def test_relation_residual_bit_identical_to_vector_division():
-    # Only four amplitudes are divided by the norm, but each must come out
-    # exactly as it does from dividing the whole vector.
+    # The residuals come from the state's cached unit vector in Python complex
+    # arithmetic; each must equal the numpy scalar expression on the unit
+    # vector of unit_vectors to the bit, at every scale, on the first pass
+    # over a fresh state (which fills the cache) and on a second pass over the
+    # same object. The cache must leave the state as it was.
     rng = np.random.default_rng(35)
-    for state in (random_state(rng, 5), MultiQubitState(5, 3e5 * random_state(rng, 5).amplitudes)):
-        a = state.amplitudes / state.norm
-        for r in segre_relations(5):
-            x, y = r.lhs
-            u, v = r.rhs
-            assert relation_residual(state, r) == float(abs(a[x] * a[y] - a[u] * a[v]))
+    for m in range(2, 9):
+        relations = segre_relations(m)
+        pairs = [(*r.lhs, *r.rhs) for r in relations]
+        amplitudes = random_state(rng, m).amplitudes
+        for scale in (1.0, 3e5, 1e200, 1e-200, 1e-310):
+            state = MultiQubitState(m, scale * amplitudes)
+            snapshot, fields = copy.copy(state), state_to_dict(state)
+            a = unit_vectors(state.amplitudes)[0]
+            want = [float(abs(a[x] * a[y] - a[u] * a[v])) for x, y, u, v in pairs]
+            fresh = [relation_residual(state, r) for r in relations]
+            reused = [relation_residual(state, r) for r in relations]
+            assert fresh == want and reused == want, (m, scale)
+            assert all(type(r) is float for r in fresh)
+            assert [f.name for f in dataclasses.fields(state)] == ["num_qubits", "amplitudes"]
+            assert state == snapshot and state_to_dict(state) == fields
+            assert not state.amplitudes.flags.writeable
 
 
 def test_relation_residual_dimension_mismatch():
@@ -760,7 +779,7 @@ def test_largest_minors_bit_identical_to_dense_matrix(m):
     # tile. Neither may change a single bit of the maximum.
     rng = np.random.default_rng(40 + m)
     states = [MultiQubitState(m, v) for v in _certificate_states(rng, m).values()]
-    unit = np.stack([s.amplitudes / s.norm for s in states])
+    unit = np.stack([unit_vectors(s.amplitudes)[0] for s in states])
     want = [_dense_largest_minor(row, m) for row in unit]
     assert largest_minors(unit).tolist() == want
     assert [max_segre_residual(s) for s in states] == want
