@@ -7,9 +7,9 @@ residual as their certificate and the applicable entanglement measures are
 reported either way.
 
 :func:`analyze` takes one state and calls each stage through its public
-function; it is the reference route. :func:`analyze_many` takes many states
-of one qubit count as the rows of an array and computes each quantity once
-over the batch.
+function; every stage starts from the state's cached unit vector and shares
+its kernel with :func:`analyze_many`, which takes many states of one qubit
+count as the rows of an array and computes each quantity once over the batch.
 """
 
 from __future__ import annotations
@@ -36,13 +36,13 @@ from .measures import (
     m_tangle,
     three_tangle,
 )
-from .moment import moment_product
+from .moment import _images, moment_product
 from .states import (
+    MAX_QUBITS,
     MultiQubitState,
     QubitFactor,
     _product_amplitudes,
     check_qubit_count,
-    inner_product,
     segre_embed,
     unit_vectors,
 )
@@ -98,6 +98,11 @@ class AnalysisReport:
         }
 
 
+# Row j clears bit j of an index, and sets it in the second column.
+_CLEAR = ~(1 << np.arange(MAX_QUBITS)[:, None])
+_SET = ~_CLEAR * np.array([0, 1])
+
+
 def extract_factors(
     state: MultiQubitState, tol: float
 ) -> tuple[QubitFactor, ...] | None:
@@ -110,24 +115,35 @@ def extract_factors(
     """
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
-    unit = state.normalized()
-    m = state.num_qubits
-    pivot = int(np.argmax(np.abs(unit.amplitudes)))
-    factors = []
-    for position in range(m):  # ket order: position 0 is the most significant bit
-        bit = 1 << (m - 1 - position)
-        a0 = unit.amplitudes[pivot & ~bit]
-        a1 = unit.amplitudes[pivot | bit]
-        factors.append(QubitFactor(a0, a1).normalized())
-    embedded = segre_embed(factors)
-    overlap = inner_product(embedded, unit)
+    unit = state._unit
+    pairs = _pivot_factors(unit)
+    factors = tuple(map(QubitFactor, pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+    embedded = segre_embed(factors).amplitudes
+    overlap = complex(np.vdot(embedded, unit))
     if overlap == 0:
         return None
     # Difference against the phase-aligned product; forming sqrt(2 - 2|overlap|)
     # instead would cancel catastrophically near zero error.
     phase = overlap / abs(overlap)
-    error = float(np.linalg.norm(unit.amplitudes - phase * embedded.amplitudes))
-    return tuple(factors) if error <= 10.0 * tol else None
+    error = float(np.linalg.norm(unit - phase * embedded))
+    return factors if error <= 10.0 * tol else None
+
+
+def _pivot_factors(unit: np.ndarray) -> np.ndarray:
+    """The unit factors, shape (..., m, 2), that the pivot method reads off
+    each unit vector along the last axis: factor j is the pair at the pivot
+    index with bit j cleared and set, in ket order, over its length.
+    """
+    size = unit.shape[-1]
+    m = size.bit_length() - 1
+    rows = unit.reshape(-1, size)
+    # Pivots as indices into the flattened rows: the row offsets are
+    # multiples of 2^m, so clearing or setting bit j leaves them alone.
+    pivot = np.abs(rows).argmax(axis=1) + np.arange(0, rows.size, size)
+    ket_order = slice(m - 1, None, -1)  # most significant bit first
+    pairs = rows.reshape(-1)[(pivot[:, None, None] & _CLEAR[ket_order]) | _SET[ket_order]]
+    length = np.sqrt(np.add.reduce(np.abs(pairs) ** 2, axis=-1, keepdims=True))
+    return (pairs.view(float) / length).view(complex).reshape(*unit.shape[:-1], m, 2)
 
 
 def analyze(state: MultiQubitState, tol: float = DEFAULT_TOLERANCE) -> AnalysisReport:
@@ -179,24 +195,16 @@ def analyze_many(amplitudes, tol: float = DEFAULT_TOLERANCE) -> list[AnalysisRep
     unit = unit_vectors(batch)[0]
     residuals = largest_minors(unit)
 
-    # Pivot extraction, as in extract_factors: factor j is read off the pair
-    # at the pivot index with bit j cleared and set.
-    pivot = np.abs(unit).argmax(axis=1)[:, None]
-    bits = 1 << np.arange(m - 1, -1, -1)  # ket order: most significant bit first
-    a0 = np.take_along_axis(unit, pivot & ~bits, axis=1)
-    a1 = np.take_along_axis(unit, pivot | bits, axis=1)
-    w0, w1 = np.abs(a0) ** 2, np.abs(a1) ** 2
-    image = -0.5 * (w1 / (w0 + w1)) + 0.0  # moment_projective of each factor
-    length = np.sqrt(w0 + w1)
-    a0, a1 = a0 / length, a1 / length
-    embedded = _product_amplitudes(np.stack([a0, a1], axis=2))
+    factors = _pivot_factors(unit)
+    image = _images(factors)[..., 0]  # moment_product of each row's factors
+    embedded = _product_amplitudes(factors)
     overlap = np.sum(np.conj(embedded) * unit, axis=1)
     phase = overlap / np.where(overlap == 0, 1.0, np.abs(overlap))
     error = np.linalg.norm(unit - phase[:, None] * embedded, axis=1)
     separable = (residuals <= tol) & (overlap != 0) & (error <= 10.0 * tol)
 
     measures = {name: values.tolist() for name, values in _measures_many(unit).items()}
-    residuals, a0, a1 = residuals.tolist(), a0.tolist(), a1.tolist()
+    residuals, a0, a1 = residuals.tolist(), factors[..., 0].tolist(), factors[..., 1].tolist()
     return [
         AnalysisReport(
             num_qubits=m,

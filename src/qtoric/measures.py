@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LengthMismatchError, OddQubitCountError, WrongQubitCountError
-from .states import MultiQubitState, inner_product
+from .states import MultiQubitState
 
 __all__ = [
     "J",
@@ -84,15 +84,14 @@ def m_tangle(state: MultiQubitState) -> float:
         raise OddQubitCountError(
             f"the m-tangle is defined for even qubit counts, got {state.num_qubits}"
         )
-    unit = state.normalized()
-    return float(abs(inner_product(unit, spin_flip(unit))) ** 2)
+    return float(_m_tangle_rows(state._unit))
 
 
-def _m_tangle_rows(unit: np.ndarray) -> np.ndarray:
-    """:func:`m_tangle` of each row of an (N, 2^m) array of unit vectors, m even."""
-    m = unit.shape[1].bit_length() - 1
-    flipped = _flip_coefficients(m) * np.conj(unit[:, ::-1])
-    return np.abs(np.sum(np.conj(unit) * flipped, axis=1)) ** 2
+def _m_tangle_rows(unit: np.ndarray):
+    """:func:`m_tangle` of each unit vector along the last axis of ``unit``, m even."""
+    m = unit.shape[-1].bit_length() - 1
+    flipped = _flip_coefficients(m) * np.conj(unit[..., ::-1])
+    return np.abs(np.sum(np.conj(unit) * flipped, axis=-1)) ** 2
 
 
 def concurrence(state: MultiQubitState) -> float:
@@ -103,27 +102,13 @@ def concurrence(state: MultiQubitState) -> float:
 
 
 def _hyperdet3(a: np.ndarray):
-    # The three sums run over complementary index pairs of the 2x2x2 tensor:
-    # squares of the four pair products, the six products of two distinct
-    # pairs, and the two odd/even four-cycles. ``a`` is one vector, which
-    # unpacks into numpy scalars, or an (N, 8) batch, which unpacks into columns.
+    # Cayley's hyperdeterminant as the discriminant b^2 - 4ac of det(A + x B)
+    # in the slices A, B of the high qubit; expanded, it is d1 - 2 d2 + 4 d4.
+    # ``a`` is one vector, which unpacks into numpy scalars, or an (N, 8)
+    # batch, which unpacks into columns.
     a0, a1, a2, a3, a4, a5, a6, a7 = a.T
-    d1 = (
-        a0 ** 2 * a7 ** 2
-        + a1 ** 2 * a6 ** 2
-        + a2 ** 2 * a5 ** 2
-        + a4 ** 2 * a3 ** 2
-    )
-    d2 = (
-        a0 * a7 * a1 * a6
-        + a0 * a7 * a2 * a5
-        + a0 * a7 * a4 * a3
-        + a1 * a6 * a2 * a5
-        + a1 * a6 * a4 * a3
-        + a2 * a5 * a4 * a3
-    )
-    d4 = a0 * a6 * a5 * a3 + a7 * a1 * a2 * a4
-    return d1 - 2 * d2 + 4 * d4
+    b = a0 * a7 - a1 * a6 - a2 * a5 + a3 * a4
+    return b * b - 4 * (a0 * a3 - a1 * a2) * (a4 * a7 - a5 * a6)
 
 
 def three_tangle(state: MultiQubitState) -> float:
@@ -134,7 +119,7 @@ def three_tangle(state: MultiQubitState) -> float:
     """
     if state.num_qubits != 3:
         raise WrongQubitCountError(f"the three-tangle needs 3 qubits, got {state.num_qubits}")
-    return float(4.0 * abs(_hyperdet3(state.normalized().amplitudes)))
+    return float(4.0 * abs(_hyperdet3(state._unit)))
 
 
 _H_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
@@ -197,9 +182,9 @@ def invariant_I1(state: MultiQubitState) -> complex:
     return 0.5 * (bilinear_g(blocks.a, blocks.d) - bilinear_g(blocks.b, blocks.c))
 
 
-def _i1_rows(unit: np.ndarray) -> np.ndarray:
-    """:func:`invariant_I1` of each row of an (N, 16) array."""
-    return 0.5 * (_g(unit[:, 0:4], unit[:, 12:16]) - _g(unit[:, 4:8], unit[:, 8:12]))
+def _i1_rows(unit: np.ndarray):
+    """:func:`invariant_I1` of one length-16 vector, or of each row of an (N, 16) array."""
+    return 0.5 * (_g(unit[..., 0:4], unit[..., 12:16]) - _g(unit[..., 4:8], unit[..., 8:12]))
 
 
 def _tau4_contraction(amplitudes: np.ndarray):
@@ -222,7 +207,7 @@ def tau4_epsilon_oracle(state: MultiQubitState) -> float:
     """
     if state.num_qubits != 4:
         raise WrongQubitCountError(f"the four-tangle needs 4 qubits, got {state.num_qubits}")
-    return float(2.0 * abs(_tau4_contraction(state.normalized().amplitudes)))
+    return float(2.0 * abs(_tau4_contraction(state._unit)))
 
 
 def _ratio(numerator: float, denominator: float) -> float:
@@ -277,11 +262,12 @@ def check_tau4_identities(state: MultiQubitState) -> Tau4IdentityReport:
     """Evaluate every four-tangle route on one state and report the ratios."""
     if state.num_qubits != 4:
         raise WrongQubitCountError(f"the identity report needs 4 qubits, got {state.num_qubits}")
-    unit = state.normalized()
-    tau_flip = m_tangle(unit)
-    tau_eps = tau4_epsilon_oracle(unit)
-    h = invariant_H(unit)
-    i1 = invariant_I1(unit)
+    # m_tangle and tau4_epsilon_oracle are looked up as module globals at
+    # call time, so a caller that patches them here (a tracer) sees each call.
+    tau_flip = m_tangle(state)
+    tau_eps = tau4_epsilon_oracle(state)
+    h = complex(_h_sum(state._unit))
+    i1 = complex(_i1_rows(state._unit))
     abs_h_sq = abs(h) ** 2
     four_abs_i1_sq = 4.0 * abs(i1) ** 2
     ratios = {

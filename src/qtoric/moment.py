@@ -26,7 +26,7 @@ from .errors import (
     EmptyFactorListError,
     NonFiniteAmplitudeError,
 )
-from .states import ProjectivePoint, QubitFactor
+from .states import ProjectivePoint, QubitFactor, _scaled_parts
 
 __all__ = [
     "BoxPolytope",
@@ -76,9 +76,18 @@ def moment_projective(point: ProjectivePoint) -> np.ndarray:
 
     Invariant under rescaling the point by any nonzero complex number and
     under the torus action multiplying coordinates 1..n-1 by unit phases.
+    Defined at any finite scale of the coordinates.
     """
-    weights = np.abs(point.coords) ** 2
-    image = -0.5 * (weights[1:] / weights.sum())
+    return _images(point.coords)
+
+
+def _images(coords: np.ndarray) -> np.ndarray:
+    """:func:`moment_projective` of each point along the last axis of ``coords``,
+    on coordinates scaled by a power of two: the same bits at ordinary
+    scales, and squares in range at all."""
+    scaled = _scaled_parts(coords)[0].view(complex)
+    weights = np.abs(scaled) ** 2
+    image = -0.5 * (weights[..., 1:] / weights.sum(axis=-1, keepdims=True))
     return image + 0.0  # never expose -0.0
 
 
@@ -92,9 +101,7 @@ def moment_product(factors: Sequence[QubitFactor]) -> np.ndarray:
     factors = list(factors)
     if not factors:
         raise EmptyFactorListError("need at least one factor")
-    return np.concatenate(
-        [moment_projective(ProjectivePoint(f.as_array())) for f in factors]
-    )
+    return _images(np.array([(f.a0, f.a1) for f in factors]))[:, 0]
 
 
 def fixed_point_images(n: int) -> list[tuple[ProjectivePoint, np.ndarray]]:
@@ -106,12 +113,8 @@ def fixed_point_images(n: int) -> list[tuple[ProjectivePoint, np.ndarray]]:
     """
     if n < 2:
         raise DimensionMismatchError("projective space needs n >= 2 coordinates")
-    pairs = []
-    for k in range(n):
-        coords = np.zeros(n, dtype=complex)
-        coords[k] = 1.0
-        pairs.append((ProjectivePoint(coords), moment_projective(ProjectivePoint(coords))))
-    return pairs
+    basis = np.eye(n, dtype=complex)
+    return [(ProjectivePoint(coords), image) for coords, image in zip(basis, _images(basis))]
 
 
 def s1_moment_disk(vector) -> float:

@@ -77,12 +77,18 @@ def _complex_vector(values, *, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+def _values_key(values: np.ndarray) -> bytes:
+    # -0.0 + 0.0 is 0.0, so finite vectors have equal bytes exactly when equal.
+    return (values + 0.0).tobytes()
+
+
+@dataclass(frozen=True, eq=False)
 class MultiQubitState:
     """A pure state on ``num_qubits`` qubits as ``2**num_qubits`` amplitudes.
 
     The vector need not be normalized (the state is a projective object),
-    but it must be finite and not identically zero.
+    but it must be finite and not identically zero. States are equal when
+    their qubit counts and amplitude values are: a rescaled state is not.
     """
 
     num_qubits: int
@@ -101,6 +107,14 @@ class MultiQubitState:
         amps.setflags(write=False)
         object.__setattr__(self, "num_qubits", int(self.num_qubits))
         object.__setattr__(self, "amplitudes", amps)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MultiQubitState):
+            return NotImplemented
+        return _values_key(self.amplitudes) == _values_key(other.amplitudes)
+
+    def __hash__(self) -> int:
+        return hash(_values_key(self.amplitudes))
 
     @cached_property
     def norm(self) -> float:
@@ -139,13 +153,20 @@ def unit_vectors(amplitudes) -> tuple[np.ndarray, np.ndarray]:
     by a real through the real's reciprocal, which overflows below 2^-1024.
     A norm past the float range is inf; the unit vector stays finite.
     """
-    parts = np.ascontiguousarray(amplitudes, dtype=complex).view(float)
-    _, exponent = np.frexp(np.abs(parts).max(axis=-1, keepdims=True))
-    scaled = np.ldexp(parts, -exponent)
+    scaled, exponent = _scaled_parts(amplitudes)
     length = np.sqrt(np.square(scaled).sum(axis=-1, keepdims=True))
     with np.errstate(over="ignore"):
         norms = np.ldexp(length[..., 0], exponent[..., 0])
     return (scaled / length).view(complex), norms
+
+
+def _scaled_parts(amplitudes) -> tuple[np.ndarray, np.ndarray]:
+    """The scaling step of :func:`unit_vectors`: the float view of each vector
+    times the power of two that brings its largest part into [1/2, 1), and
+    the exponent that undoes it."""
+    parts = np.ascontiguousarray(amplitudes, dtype=complex).view(float)
+    _, exponent = np.frexp(np.abs(parts).max(axis=-1, keepdims=True))
+    return np.ldexp(parts, -exponent), exponent
 
 
 @dataclass(frozen=True)
@@ -168,14 +189,15 @@ class QubitFactor:
         return np.array([self.a0, self.a1])
 
     def normalized(self) -> "QubitFactor":
-        scale = abs(self.a0) ** 2 + abs(self.a1) ** 2
-        scale = scale ** 0.5
-        return QubitFactor(self.a0 / scale, self.a1 / scale)
+        a0, a1 = _scaled_parts(self.as_array())[0].view(complex).tolist()
+        scale = (abs(a0) ** 2 + abs(a1) ** 2) ** 0.5
+        return QubitFactor(a0 / scale, a1 / scale)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectivePoint:
-    """A point of P^(n-1) as n >= 2 homogeneous complex coordinates."""
+    """A point of P^(n-1) as n >= 2 homogeneous complex coordinates, equal to
+    another point exactly when their coordinate values are equal."""
 
     coords: np.ndarray
 
@@ -187,6 +209,14 @@ class ProjectivePoint:
             raise ZeroStateError("the zero vector does not define a projective point")
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProjectivePoint):
+            return NotImplemented
+        return _values_key(self.coords) == _values_key(other.coords)
+
+    def __hash__(self) -> int:
+        return hash(_values_key(self.coords))
 
 
 def index_bits(x: int, num_qubits: int) -> tuple[int, ...]:

@@ -121,13 +121,42 @@ def test_benchmark_tracer_sees_every_measure(monkeypatch):
     tracer.install()  # resolves every TRACED name
     try:
         tracer.enabled = True
-        for name in ("bell", "ghz3", "ghz4", "ghz6"):
+        for name in ("bell", "ghz3", "ghz4", "ghz6", "0110"):
             qtoric.analyze(named_state(name))
     finally:
         tracer.uninstall()
     recorded = {span[0] for span in tracer.spans}
-    for name in ("concurrence", "three_tangle", "tau4_identities", "m_tangle"):
+    for name in ("concurrence", "three_tangle", "tau4_identities", "m_tangle", "tau4_epsilon"):
         assert f"measures.{name}" in recorded
+    for name in (
+        "analyzer.extract_factors",
+        "states.segre_embed",
+        "moment.moment_product",
+        "toric.max_segre_residual",
+    ):
+        assert name in recorded
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_analyze_builds_one_state(m, monkeypatch):
+    # Every stage starts from the state's cached unit vector; the one state
+    # analyze may build is the product that segre_embed forms in
+    # extract_factors, on entangled and separable inputs alike.
+    rng = np.random.default_rng(90 + m)
+    states = [random_state(rng, m), random_product_state(rng, m)]
+    validate = MultiQubitState.__post_init__
+    built = []
+
+    def counted(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(MultiQubitState, "__post_init__", counted)
+    for state in states:
+        built.clear()
+        analyze(state)
+        assert len(built) == 1
+    assert analyze(states[1]).separable
 
 
 def test_analyze_rejects_single_qubit():

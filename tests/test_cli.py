@@ -383,11 +383,14 @@ def test_moment_entangled_exits_3(bell_file):
 
 
 def test_moment_projective_point(tmp_path):
+    # The point is projective: the image is the same at any finite scale.
     path = tmp_path / "point.json"
-    path.write_text(json.dumps({"coords": [[1.0, 0.0], [1.0, 0.0]]}))
-    result = run_cli("moment", "--projective", str(path))
-    assert result.returncode == 0
-    assert "moment image: (-0.25)" in result.stdout
+    for scale in (1.0, 1e200, 1e-310):
+        path.write_text(json.dumps({"coords": [[scale, 0.0], [scale, 0.0]]}))
+        result = run_cli("moment", "--projective", str(path))
+        assert result.returncode == 0
+        assert "moment image: (-0.25)" in result.stdout, scale
+        assert "inside [-1/2, 0]^1: true" in result.stdout, scale
 
 
 # --- tangle / invariants --------------------------------------------------------------

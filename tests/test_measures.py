@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtoric import (
     G,
@@ -142,6 +144,55 @@ def test_three_tangle_ghz_w_superposition():
 def test_three_tangle_wrong_count():
     with pytest.raises(WrongQubitCountError):
         three_tangle(named_state("bell"))
+
+
+def _hyperdet3_terms(a):
+    # The 12-term expansion of Cayley's hyperdeterminant: squares of the four
+    # complementary pair products, the six products of two distinct pairs,
+    # and the two odd/even four-cycles.
+    a0, a1, a2, a3, a4, a5, a6, a7 = a
+    d1 = a0**2 * a7**2 + a1**2 * a6**2 + a2**2 * a5**2 + a4**2 * a3**2
+    d2 = (
+        a0 * a7 * a1 * a6
+        + a0 * a7 * a2 * a5
+        + a0 * a7 * a4 * a3
+        + a1 * a6 * a2 * a5
+        + a1 * a6 * a4 * a3
+        + a2 * a5 * a4 * a3
+    )
+    d4 = a0 * a6 * a5 * a3 + a7 * a1 * a2 * a4
+    return d1 - 2 * d2 + 4 * d4
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["state", "product", "ghz3", "w3"]), min_size=1, max_size=4),
+    transform=st.sampled_from([None, "sl2"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_hyperdet3_matches_term_expansion(kinds, transform, seed):
+    # The factorized discriminant against the expansion, on unit vectors of
+    # random states, products and the GHZ and W states, as drawn or under a
+    # random SL(2, C) map on every qubit; one vector and a batch of rows.
+    from qtoric.measures import _hyperdet3
+
+    rng = np.random.default_rng(seed)
+    rows = []
+    for kind in kinds:
+        if kind == "state":
+            state = random_state(rng, 3)
+        elif kind == "product":
+            state = random_product_state(rng, 3)
+        else:
+            state = named_state(kind)
+        if transform == "sl2":
+            state = apply_local(state, [random_sl2(rng) for _ in range(3)])
+        rows.append(state.normalized().amplitudes)
+    batch = _hyperdet3(np.stack(rows))
+    for row, got in zip(rows, batch):
+        want = _hyperdet3_terms(row)
+        assert abs(_hyperdet3(row) - want) <= 1e-15
+        assert abs(got - want) <= 1e-15
 
 
 # --- four-qubit invariants ------------------------------------------------------------

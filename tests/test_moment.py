@@ -89,6 +89,27 @@ def test_moment_product_matches_projective_per_factor():
         assert np.array_equal(combined, per_factor)
 
 
+def test_moment_maps_whole_finite_range():
+    # Integer coordinates times a power of two are exact from the subnormal
+    # range to the top of the float range, so every image and every
+    # normalized factor must keep the bits it has at scale 1.
+    rng = np.random.default_rng(26)
+    points = [np.array([1, 1j, 2])]
+    points += list(rng.integers(-(2**20), 2**20, size=(10, 4, 2)) @ [1, 1j])
+    pairs = rng.integers(1, 2**20, size=(10, 2, 2)) @ [1, 1j]
+    want_images = [moment_projective(ProjectivePoint(c)) for c in points]
+    want_product = moment_product([QubitFactor(*p) for p in pairs])
+    want_units = [QubitFactor(*p).normalized() for p in pairs]
+    for k in range(-1070, 1001, 5):
+        scale = 2.0**k
+        for coords, want in zip(points, want_images):
+            assert np.array_equal(moment_projective(ProjectivePoint(scale * coords)), want), k
+        factors = [QubitFactor(*(scale * p)) for p in pairs]
+        assert np.array_equal(moment_product(factors), want_product), k
+        assert [f.normalized() for f in factors] == want_units, k
+    assert np.array_equal(want_images[0], [-1 / 12, -1 / 3])
+
+
 def test_moment_containment_random():
     rng = np.random.default_rng(24)
     box = BoxPolytope.moment_box(2)

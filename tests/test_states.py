@@ -12,6 +12,7 @@ from qtoric import (
     LengthMismatchError,
     MultiQubitState,
     NonFiniteAmplitudeError,
+    ProjectivePoint,
     QubitFactor,
     QubitLimitError,
     UnknownNameError,
@@ -254,6 +255,23 @@ def test_state_json_schema_errors():
 def test_point_from_dict():
     p = point_from_dict({"coords": [[1.0, 0.0], [0.0, 1.0]]})
     assert np.array_equal(p.coords, [1, 1j])
+
+
+def test_states_and_points_compare_by_value():
+    # Equal qubit counts and amplitude values, from different arrays, with
+    # -0.0 against 0.0, give equal objects and equal hashes; the cached unit
+    # vector is no part of either. A rescaled state is a different object.
+    amplitudes = np.array([1, -0.0, 0.5j, complex(0.0, -0.0)])
+    a = MultiQubitState(2, amplitudes)
+    b = MultiQubitState(2, np.array([1, 0, 0.5j, 0]))
+    assert a.norm > 0 and a._unit_list  # fills the caches of one side only
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert {b: "state"}[a] == "state"
+    assert a != MultiQubitState(2, 2 * amplitudes) and a != a.normalized()
+    assert a != MultiQubitState(3, np.eye(8)[0]) and a != amplitudes.tolist()
+    assert MultiQubitState(1, [1, 0]) != ProjectivePoint([1, 0])
+    p, q = ProjectivePoint([1, -0.0, 2j]), ProjectivePoint(np.array([1, 0, 2j]))
+    assert p == q and hash(p) == hash(q) and p != ProjectivePoint([1, 0]) and p != ProjectivePoint([2, 0, 4j])
 
 
 def test_qubit_factor_rejects_zero():
