@@ -1,10 +1,10 @@
 """Separability pipeline: residual certificate, factor extraction, report.
 
-A state is reported separable when its largest Segre relation residual is
-within tolerance and a factorization is recovered; the recovered factors
-then place the state on the moment polytope. Entangled states keep the
-residual as their certificate and the applicable entanglement measures are
-reported either way.
+A state is separable when its largest Segre relation residual is within
+tolerance (the residual gate), then the factors read off it rebuild it to
+10 times the tolerance (the reconstruction gate) and place it on the moment
+polytope. Entangled states keep the residual as their certificate; the
+applicable entanglement measures are reported either way.
 
 :func:`analyze` takes one state and calls each stage through its public
 function; every stage starts from the state's cached unit vector and shares
@@ -113,20 +113,25 @@ def extract_factors(
     normalized. The factorization is accepted when the embedded product
     matches the state to ``10 * tol`` after phase alignment.
     """
+    _check_tolerance(tol)
+    pairs = _pivot_factors(state._unit)
+    factors = tuple(map(QubitFactor, pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+    return factors if _reconstructs(state._unit, segre_embed(factors).amplitudes, tol) else None
+
+
+def _check_tolerance(tol: float) -> None:
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
-    unit = state._unit
-    pairs = _pivot_factors(unit)
-    factors = tuple(map(QubitFactor, pairs[:, 0].tolist(), pairs[:, 1].tolist()))
-    embedded = segre_embed(factors).amplitudes
-    overlap = complex(np.vdot(embedded, unit))
-    if overlap == 0:
-        return None
-    # Difference against the phase-aligned product; forming sqrt(2 - 2|overlap|)
-    # instead would cancel catastrophically near zero error.
-    phase = overlap / abs(overlap)
-    error = float(np.linalg.norm(unit - phase * embedded))
-    return factors if error <= 10.0 * tol else None
+
+
+def _reconstructs(unit: np.ndarray, embedded: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each unit vector along the last axis is its embedded product to ``10 * tol``."""
+    overlap = np.add.reduce(embedded.conj() * unit, axis=-1)
+    # The error against the phase-aligned product, by np.linalg.norm's formula along
+    # an axis; sqrt(2 - 2|overlap|) would cancel catastrophically near zero error.
+    diff = unit - (overlap / np.where(overlap == 0, 1.0, np.abs(overlap)))[..., None] * embedded
+    error = np.sqrt(np.add.reduce((diff.conj() * diff).real, axis=-1))
+    return (overlap != 0) & (error <= 10.0 * tol)
 
 
 def _pivot_factors(unit: np.ndarray) -> np.ndarray:
@@ -146,21 +151,22 @@ def _pivot_factors(unit: np.ndarray) -> np.ndarray:
     return (pairs.view(float) / length).view(complex).reshape(*unit.shape[:-1], m, 2)
 
 
+def _verdict(state: MultiQubitState, tol: float) -> tuple:
+    """The largest relation residual (0 at m = 1), then factors and moment image, or None, None."""
+    _check_tolerance(tol)
+    max_residual = max_segre_residual(state) if state.num_qubits > 1 else 0.0
+    factors = extract_factors(state, tol) if max_residual <= tol else None
+    return max_residual, factors, None if factors is None else moment_product(factors)
+
+
 def analyze(state: MultiQubitState, tol: float = DEFAULT_TOLERANCE) -> AnalysisReport:
     """Run the full pipeline on one state."""
     if state.num_qubits < 2:
         raise WrongQubitCountError("analysis needs at least 2 qubits")
-    if not 0 < tol < math.inf:
-        raise ValueError("tolerance must be positive and finite")
-    max_residual = max_segre_residual(state)
-    factors = extract_factors(state, tol)
-    separable = bool(max_residual <= tol) and factors is not None
-    if not separable:
-        factors = None
-    moment_image = moment_product(factors) if factors is not None else None
+    max_residual, factors, moment_image = _verdict(state, tol)
     return AnalysisReport(
         num_qubits=state.num_qubits,
-        separable=separable,
+        separable=factors is not None,
         max_residual=max_residual,
         factors=factors,
         moment_image=moment_image,
@@ -174,7 +180,7 @@ def analyze_many(amplitudes, tol: float = DEFAULT_TOLERANCE) -> list[AnalysisRep
 
     The rows are states of m qubits; they need not be normalized, but must
     be finite and nonzero. The reports are those of :func:`analyze` on the
-    rows, up to rounding.
+    rows, with the measures up to rounding.
     """
     batch = np.asarray(amplitudes, dtype=complex)
     size = batch.shape[-1] if batch.ndim == 2 else 0
@@ -186,8 +192,7 @@ def analyze_many(amplitudes, tol: float = DEFAULT_TOLERANCE) -> list[AnalysisRep
     if m < 2:
         raise WrongQubitCountError("analysis needs at least 2 qubits")
     check_qubit_count(m)
-    if not 0 < tol < math.inf:
-        raise ValueError("tolerance must be positive and finite")
+    _check_tolerance(tol)
     if not np.isfinite(batch).all():
         raise NonFiniteAmplitudeError("amplitudes contain NaN or infinite entries")
     if not batch.any(axis=1).all():
@@ -197,11 +202,7 @@ def analyze_many(amplitudes, tol: float = DEFAULT_TOLERANCE) -> list[AnalysisRep
 
     factors = _pivot_factors(unit)
     image = _images(factors)[..., 0]  # moment_product of each row's factors
-    embedded = _product_amplitudes(factors)
-    overlap = np.sum(np.conj(embedded) * unit, axis=1)
-    phase = overlap / np.where(overlap == 0, 1.0, np.abs(overlap))
-    error = np.linalg.norm(unit - phase[:, None] * embedded, axis=1)
-    separable = (residuals <= tol) & (overlap != 0) & (error <= 10.0 * tol)
+    separable = (residuals <= tol) & _reconstructs(unit, _product_amplitudes(factors), tol)
 
     measures = {name: values.tolist() for name, values in _measures_many(unit).items()}
     residuals, a0, a1 = residuals.tolist(), factors[..., 0].tolist(), factors[..., 1].tolist()

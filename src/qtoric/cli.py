@@ -30,15 +30,15 @@ from . import __version__
 from .analyzer import (
     AnalysisReport,
     DEFAULT_TOLERANCE,
+    _verdict,
     analyze,
     analyze_many,
     applicable_measures,
-    extract_factors,
     measures_to_dict,
 )
 from .errors import QToricError, SchemaError, WrongQubitCountError
 from .measures import check_tau4_identities
-from .moment import BoxPolytope, in_polytope, moment_product, moment_projective
+from .moment import BoxPolytope, in_polytope, moment_projective
 from .states import (
     MultiQubitState,
     QubitFactor,
@@ -334,11 +334,9 @@ def _cmd_moment(args) -> int:
             raise _CliError("--projective requires a point JSON file", code=1)
         image = moment_projective(point_from_dict(_load_json(path)))
     else:
-        state = _resolve_state(args)
-        factors = extract_factors(state, args.tol)
-        if factors is None:
+        image = _verdict(_resolve_state(args), args.tol)[2]
+        if image is None:
             raise _CliError("state is not a product; moment map undefined", code=3)
-        image = moment_product(factors)
     box = BoxPolytope.moment_box(len(image))
     inside = in_polytope(image, box, args.tol)
     if args.format == "json":

@@ -111,12 +111,17 @@ class LatticePolytope:
         arr = _integer_rows(self.vertices, "vertex")
         if not _rows_distinct(arr):
             raise RedundantVertexError("duplicate vertices")
-        if _box_intervals_of(arr) is None:
+        intervals = _box_intervals_of(arr)
+        if intervals is None:
             dim, facets = _facets(arr)
             for i, vertex in enumerate(arr.tolist()):
                 if sum(i in facet for facet in facets) < dim:
                     message = f"vertex {tuple(vertex)} lies in the hull of the others"
                     raise RedundantVertexError(message)
+        else:
+            dim, facets = int((intervals[0] < intervals[1]).sum()), None
+        # For delzant_check, outside the fields: the dimension, and the facets or None for a box.
+        object.__setattr__(self, "_hull", (dim, facets))
         arr.setflags(write=False)
         object.__setattr__(self, "vertices", arr)
 
@@ -289,25 +294,20 @@ def delzant_check(polytope: LatticePolytope) -> DelzantVerdict:
     A polytope passes when exactly ``n`` edges meet every vertex and their
     primitive integer directions form a Z-basis (determinant +-1). Boxes are
     handled in any dimension; other polytopes (dimension at most 3) through
-    the exact edges of :func:`_facets`.
+    the exact edges of the facets that :func:`_facets` found at construction.
     """
-    vertices = polytope.vertices
     n = polytope.dim
-    intervals = _box_intervals_of(vertices)
-    if intervals is None:
-        rank, facets = _facets(vertices)
-    else:
-        rank, facets = int((intervals[0] < intervals[1]).sum()), set()
+    rank, facets = polytope._hull
     if rank != n:
         raise UnsupportedPolytopeError(
             f"polytope spans dimension {rank}, expected full dimension {n}"
         )
-    if intervals is not None:
+    if facets is None:
         # At a box corner the n edges run along the axes with primitive
         # directions +-e_i, a Z-basis.
         return DelzantVerdict(True, ())
 
-    points = [tuple(p) for p in vertices.tolist()]
+    points = [tuple(p) for p in polytope.vertices.tolist()]
     failures = []
     for idx, vertex in enumerate(points):
         shared = [sum(idx in f and j in f for f in facets) for j in range(len(points))]

@@ -382,6 +382,23 @@ def test_moment_entangled_exits_3(bell_file):
     assert "state is not a product; moment map undefined" in result.stderr
 
 
+def test_moment_takes_the_analyze_verdict(tmp_path, capsys):
+    # A basis state plus 5e-10 on |11>: the pivot factors reconstruct it to
+    # 5e-10, within 10 * tol, but its residual 5e-10 fails the residual gate
+    # at tol 1e-10. moment refuses every state that analyze calls entangled.
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"qubits": 2, "amplitudes": [[1, 0], [0, 0], [0, 0], [5e-10, 0]]}))
+    assert main(["analyze", str(path)]) == 0
+    assert "separable: false" in capsys.readouterr().out
+    assert main(["moment", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "state is not a product; moment map undefined" in captured.err
+    # A single qubit has no Segre relation; reconstruction alone decides.
+    assert main(["moment", "--state", "1"]) == 0
+    assert "moment image: (-0.5)" in capsys.readouterr().out
+
+
 def test_moment_projective_point(tmp_path):
     # The point is projective: the image is the same at any finite scale.
     path = tmp_path / "point.json"

@@ -223,6 +223,17 @@ def test_delzant_3d_simplex():
     assert not verdict.is_delzant
 
 
+def test_delzant_reuses_construction_facets(monkeypatch):
+    # The facets that reject redundant vertices at construction are the
+    # ones delzant_check reads its edges from; they are found once.
+    calls = []
+    facets = toric._facets
+    monkeypatch.setattr(toric, "_facets", lambda v: calls.append(v) or facets(v))
+    octahedron = LatticePolytope(np.vstack([np.eye(3, dtype=int), -np.eye(3, dtype=int)]))
+    assert not delzant_check(octahedron).is_delzant
+    assert len(calls) == 1
+
+
 def test_delzant_rejects_low_dimensional():
     segment = LatticePolytope(np.array([[0, 0], [1, 1]]))
     with pytest.raises(UnsupportedPolytopeError):
