@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    LengthMismatchError,
     NonFiniteAmplitudeError,
     WrongQubitCountError,
     ZeroStateError,
@@ -42,7 +41,7 @@ from .states import (
     MultiQubitState,
     QubitFactor,
     _product_amplitudes,
-    check_qubit_count,
+    _state_rows,
     segre_embed,
     unit_vectors,
 )
@@ -182,16 +181,7 @@ def analyze_many(amplitudes, tol: float = DEFAULT_TOLERANCE) -> list[AnalysisRep
     be finite and nonzero. The reports are those of :func:`analyze` on the
     rows, with the measures up to rounding.
     """
-    batch = np.asarray(amplitudes, dtype=complex)
-    size = batch.shape[-1] if batch.ndim == 2 else 0
-    if size < 1 or size & (size - 1):
-        raise LengthMismatchError(
-            f"amplitudes must form an (N, 2^m) array, got shape {batch.shape}"
-        )
-    m = size.bit_length() - 1
-    if m < 2:
-        raise WrongQubitCountError("analysis needs at least 2 qubits")
-    check_qubit_count(m)
+    batch, m = _state_rows(amplitudes, "analysis")
     _check_tolerance(tol)
     if not np.isfinite(batch).all():
         raise NonFiniteAmplitudeError("amplitudes contain NaN or infinite entries")

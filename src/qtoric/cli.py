@@ -49,7 +49,6 @@ from .states import (
     segre_embed,
     state_from_dict,
     state_to_dict,
-    unit_vectors,
 )
 from .toric import RELATION_TEXT, cube, delzant_check, lattice_points, normal_fan_box
 from .toric import max_segre_residual, relation_table
@@ -186,7 +185,7 @@ def _report_text(report: AnalysisReport) -> str:
 
 def _cmd_analyze(args) -> int:
     target = getattr(args, "path", None)
-    if target and Path(target).is_dir():
+    if target and Path(target).is_dir() and not args.state:
         return _analyze_directory(args, target)
     report = analyze(_resolve_state(args), args.tol)
     if args.format == "json":
@@ -248,6 +247,8 @@ def _analyze_directory(args, target: str) -> int:
 
 def _cmd_segre(args) -> int:
     if args.list:
+        if args.path or args.state:
+            raise _CliError("give either a state or --list, not both", code=1)
         if args.m is None:
             raise _CliError("segre --list requires -m", code=1)
         if args.m < 2:
@@ -258,7 +259,7 @@ def _cmd_segre(args) -> int:
         state = _resolve_state(args)
         m = state.num_qubits
         table = relation_table(m)
-        a = unit_vectors(state.amplitudes)[0]
+        a = state._unit
         x, y, u, v = table[:, :4].T
         residuals = np.abs(a[x] * a[y] - a[u] * a[v])
         largest = max_segre_residual(state)
@@ -332,6 +333,8 @@ def _cmd_moment(args) -> int:
         path = getattr(args, "path", None)
         if not path:
             raise _CliError("--projective requires a point JSON file", code=1)
+        if args.state:
+            raise _CliError("give either a point file or --state, not both", code=1)
         image = moment_projective(point_from_dict(_load_json(path)))
     else:
         image = _verdict(_resolve_state(args), args.tol)[2]

@@ -30,6 +30,7 @@ from .errors import (
     QubitLimitError,
     SchemaError,
     UnknownNameError,
+    WrongQubitCountError,
     ZeroStateError,
 )
 
@@ -65,6 +66,24 @@ def check_qubit_count(m: int, limit: int = MAX_QUBITS, what: str = "a state") ->
     """Raise :class:`QubitLimitError` when ``m`` qubits exceed ``limit``."""
     if m > limit:
         raise QubitLimitError(f"{what} is limited to {limit} qubits, got {m}")
+
+
+def _state_rows(amplitudes, what: str) -> tuple[np.ndarray, int]:
+    """``amplitudes`` as an (N, 2^m) complex array, and m, for 2 <= m <= ``MAX_QUBITS``.
+
+    Only the shape is checked; ``what`` names the caller in the error for m < 2.
+    """
+    rows = np.asarray(amplitudes, dtype=complex)
+    size = rows.shape[1] if rows.ndim == 2 else 0
+    if size < 1 or size & (size - 1):
+        raise LengthMismatchError(
+            f"amplitudes must form an (N, 2^m) array, got shape {rows.shape}"
+        )
+    m = size.bit_length() - 1
+    if m < 2:
+        raise WrongQubitCountError(f"{what} needs at least 2 qubits")
+    check_qubit_count(m)
+    return rows, m
 
 
 def _complex_vector(values, *, what: str) -> np.ndarray:

@@ -43,13 +43,12 @@ from .errors import (
     DegenerateIntervalError,
     DimensionMismatchError,
     IndexOutOfRangeError,
-    LengthMismatchError,
     QubitLimitError,
     RedundantVertexError,
     UnsupportedPolytopeError,
     WrongQubitCountError,
 )
-from .states import MAX_QUBITS, MultiQubitState, check_qubit_count
+from .states import MAX_QUBITS, MultiQubitState, _state_rows, check_qubit_count
 
 __all__ = [
     "LatticePolytope",
@@ -472,11 +471,13 @@ def relation_table(m: int) -> np.ndarray:
 
     Row ``(x, y, u, v, j)`` is the relation ``a[x] a[y] = a[u] a[v]`` in the
     canonical form of :class:`BinomialRelation`, ``j`` the smallest axis
-    whose bit swap gives it; rows are sorted. Built one flattening at a time:
-    the column pairs ``c < c'`` of flattening j, with bit j inserted, are the
-    two pairs of one minor. When ``c ^ c'`` is a single bit below bit j, the
-    two indices differ in exactly two bits and the smaller axis already
-    gives the row, so it is dropped. There are
+    whose bit swap gives it; rows are sorted. Built one flattening at a time
+    from the index of :func:`_flattening_columns`: columns ``c < c'`` of the
+    flattening that splits off axis j give the minor whose left pair is
+    (``c`` clear, ``c'`` set) and whose right pair is (``c`` set, ``c'``
+    clear). When ``c ^ c'`` is a single bit below bit j, the two indices
+    differ in exactly two bits and the smaller axis already gives the row,
+    so it is dropped. There are
     ``sum_{t=2..m} C(m, t) 2^(m-t) e(t)`` rows, ``e(2) = 1`` and
     ``e(t) = t 2^(t-2)``: about ``m 4^(m-1) / 2``, hence
     :data:`MAX_RELATION_QUBITS`.
@@ -484,25 +485,20 @@ def relation_table(m: int) -> np.ndarray:
     if m < 2:
         raise WrongQubitCountError("relations need at least 2 qubits")
     check_qubit_count(m, MAX_RELATION_QUBITS, "the relation table")
+    columns = _flattening_columns(m).astype(np.int32)
     c, d = np.triu_indices(1 << (m - 1), k=1)
     differing = c ^ d
     single_bit = differing & (differing - 1) == 0
     blocks = []
     for j in range(1, m + 1):
-        bit = 1 << (j - 1)
-        keep = ~(single_bit & (differing < bit))
-        cols = np.stack([c[keep], d[keep]])
-        low = cols & (bit - 1)
-        c0, d0 = ((cols - low) << 1) | low  # bit j inserted as 0
-        # c0 < d0, so c0 is the least of the four indices: (c0, d0 | bit)
-        # is the left pair, and the right pair only needs sorting.
-        rows = np.empty((len(c0), 5), dtype=np.int32)
-        rows[:, 0] = c0
-        rows[:, 1] = d0 | bit
-        rows[:, 2] = np.minimum(c0 | bit, d0)
-        rows[:, 3] = np.maximum(c0 | bit, d0)
-        rows[:, 4] = j
-        blocks.append(rows)
+        keep = ~(single_bit & (differing < 1 << (j - 1)))
+        zero, one = columns[:, m - j]  # flattening m - j splits off axis j
+        pairs = np.stack([c[keep], d[keep]])
+        (c0, d0), (c1, d1) = zero.take(pairs), one.take(pairs)
+        # c0 < d0, so c0 is the least of the four indices: (c0, d1) is the
+        # left pair, and the right pair only needs sorting.
+        right = np.minimum(c1, d0), np.maximum(c1, d0)
+        blocks.append(np.stack([c0, d1, *right, np.full_like(c0, j)], axis=1))
     table = np.concatenate(blocks)
     # The four indices have m <= 10 bits each and pack exactly into one int64
     # key; one argsort of it is about ten times faster than np.lexsort.
@@ -556,11 +552,12 @@ _TILE = 32
 minor matrices."""
 
 _BLOCK = 7 << 10
-"""Complex entries of a tile buffer of :func:`_tiled_largest_minors`, 112
-KiB: below glibc's 128 KiB mmap threshold, so the buffers come from the heap
-and not from pages mapped afresh on every call. A block holds the
-flattenings of as many whole rows as fill a buffer, at least one row; a row
-that does not fit is formed in equal pieces."""
+"""Complex entries of one buffer of the certificate, 112 KiB: below glibc's
+128 KiB mmap threshold, so the buffers come from the heap and not from pages
+mapped afresh on every call. :func:`largest_minors` gathers the flattenings
+of as many whole rows as fill a buffer, and :func:`_tiled_largest_minors`
+forms a tile for as many as fill one, at least one row in both; a row whose
+tile does not fit is formed in equal pieces."""
 
 _PRUNE_COLUMNS = 64
 """Flattenings of more columns than this, m >= 8, skip tiles by the bounds;
@@ -604,9 +601,6 @@ near products at m = 6-9, some mapped by SL(2, C), thinned to a tenth or
 with half their amplitudes scaled by 1e-200, the largest term needed was
 2.25u."""
 
-_CHUNK = 1 << 14
-"""Amplitudes gathered per row chunk."""
-
 
 def largest_minors(unit) -> np.ndarray:
     """Largest absolute 2x2 minor of the m single-qubit flattenings, per row.
@@ -628,18 +622,9 @@ def largest_minors(unit) -> np.ndarray:
     all weigh the same, such as uniform and graph states, still form every
     tile, at O(m 4^m).
     """
-    unit = np.asarray(unit, dtype=complex)
-    size = unit.shape[1] if unit.ndim == 2 else 0
-    if size < 1 or size & (size - 1):
-        raise LengthMismatchError(
-            f"amplitudes must form an (N, 2^m) array, got shape {unit.shape}"
-        )
-    m = size.bit_length() - 1
-    if m < 2:
-        raise WrongQubitCountError("minors need at least 2 qubits")
-    check_qubit_count(m)
+    unit, m = _state_rows(unit, "the Segre certificate")
     columns = _flattening_columns(m)
-    per_chunk = max(1, _CHUNK // (m * size))
+    per_chunk = max(1, _BLOCK // columns[0].size)
     worst = np.empty(len(unit))
     for start in range(0, len(unit), per_chunk):
         rows = unit[start : start + per_chunk]

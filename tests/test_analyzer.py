@@ -363,10 +363,12 @@ def test_analyze_many_input_checks():
     assert analyze_many(rows[:0]) == []
     with pytest.raises(LengthMismatchError):
         analyze_many(rows[0])
-    with pytest.raises(LengthMismatchError):
-        analyze_many(np.ones((2, 6)))
-    with pytest.raises(WrongQubitCountError):
-        analyze_many(np.ones((2, 2)))
+    for shape in ((2, 6), (1, 0), (1, 2, 4)):
+        with pytest.raises(LengthMismatchError):
+            analyze_many(np.ones(shape))
+    for width in (1, 2):
+        with pytest.raises(WrongQubitCountError):
+            analyze_many(np.ones((2, width)))
     with pytest.raises(QubitLimitError):
         analyze_many(np.ones((1, 1 << 13)))
     with pytest.raises(NonFiniteAmplitudeError):

@@ -134,6 +134,29 @@ def test_analyze_unknown_fixture():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "{state}", "--state", "ghz3"),
+        ("analyze", "{dir}", "--state", "ghz3"),
+        ("segre", "{state}", "--list", "-m", "2"),
+        ("segre", "--state", "bell", "--list", "-m", "2"),
+        ("moment", "--projective", "{point}", "--state", "bell"),
+    ],
+)
+def test_second_input_is_usage_error(tmp_path, capsys, argv):
+    # Each command takes one input; a second one is refused, not ignored.
+    state = tmp_path / "bell.json"
+    state.write_text(json.dumps(state_to_dict(named_state("bell"))))
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"coords": [[1, 0], [1, 0]]}))
+    paths = {"state": state, "dir": tmp_path, "point": point}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not both" in captured.err
+
+
 def test_analyze_directory_order(tmp_path):
     for name in ("a_bell", "b_ghz3"):
         state = named_state(name.split("_")[1])

@@ -584,6 +584,29 @@ def test_relation_table_matches_pairwise_enumeration(m):
     assert [[*r.lhs, *r.rhs, r.swap_axis] for r in segre_relations(m)] == table.tolist()
 
 
+@pytest.mark.parametrize("m", [9, 10])
+def test_relation_table_structure_at_large_m(m):
+    # The pairwise oracle stops at m = 8; these are the two largest tables.
+    table = relation_table(m)
+    assert table.shape == (_count_by_formula(m), 5)
+    x, y, u, v, j = table.T.astype(np.int64)
+    key = (((x << m | y) << m | u) << m) | v
+    assert (np.diff(key) > 0).all()  # strictly sorted
+    bit = 1 << (j - 1)
+    assert (x < y).all() and (x < u).all()
+    assert ((x ^ y) & bit).all()
+    assert np.array_equal(u, np.minimum(x ^ bit, y ^ bit))
+    assert np.array_equal(v, np.maximum(x ^ bit, y ^ bit))
+    # A pair that differs in exactly two bits gives one relation on either
+    # axis; the table names the smaller.
+    differing = x ^ y
+    lowest = differing & -differing
+    rest = differing ^ lowest
+    two_bits = (rest != 0) & (rest & (rest - 1) == 0)
+    assert two_bits.any()
+    assert np.array_equal(bit[two_bits], lowest[two_bits])
+
+
 def test_relation_table_qubit_cap():
     assert len(relation_table(2)) == 1
     for m in (MAX_RELATION_QUBITS + 1, 40):
