@@ -9,7 +9,10 @@ applicable entanglement measures are reported either way.
 :func:`analyze` takes one state and calls each stage through its public
 function; every stage starts from the state's cached unit vector and shares
 its kernel with :func:`analyze_many`, which takes many states of one qubit
-count as the rows of an array and computes each quantity once over the batch.
+count as the rows of an array, normalizes each row once and computes each
+quantity once over the batch through :func:`_reports`. The command line
+sends every state it analyzes through :func:`_reports`, one state as a batch
+of one, so a state gets the same report alone as in a directory.
 """
 
 from __future__ import annotations
@@ -178,16 +181,26 @@ def analyze_many(amplitudes, tol: float = DEFAULT_TOLERANCE) -> list[AnalysisRep
     """Run the full pipeline on each row of an (N, 2^m) array of amplitudes.
 
     The rows are states of m qubits; they need not be normalized, but must
-    be finite and nonzero. The reports are those of :func:`analyze` on the
-    rows, with the measures up to rounding.
+    be finite and nonzero. The reports are those of :func:`analyze` on
+    ``MultiQubitState(m, row)``, with the measures up to rounding. Each row
+    is normalized once, by :func:`unit_vectors`, and the reports are formed
+    by :func:`_reports`, the route of ``qtoric analyze`` for one state too.
     """
-    batch, m = _state_rows(amplitudes, "analysis")
+    batch, _ = _state_rows(amplitudes, "analysis")
     _check_tolerance(tol)
     if not np.isfinite(batch).all():
         raise NonFiniteAmplitudeError("amplitudes contain NaN or infinite entries")
     if not batch.any(axis=1).all():
         raise ZeroStateError("the zero vector does not define a state")
-    unit = unit_vectors(batch)[0]
+    return _reports(unit_vectors(batch)[0], tol)
+
+
+def _reports(unit: np.ndarray, tol: float) -> list[AnalysisReport]:
+    """The report of each row of an (N, 2^m) array of unit vectors, m >= 2.
+
+    Row by row: a row gets the same bits alone as in any batch.
+    """
+    m = unit.shape[1].bit_length() - 1
     residuals = largest_minors(unit)
 
     factors = _pivot_factors(unit)

@@ -30,10 +30,10 @@ from . import __version__
 from .analyzer import (
     AnalysisReport,
     DEFAULT_TOLERANCE,
+    _measures_many,
+    _reports,
     _verdict,
-    analyze,
     analyze_many,
-    applicable_measures,
     measures_to_dict,
 )
 from .errors import QToricError, SchemaError, WrongQubitCountError
@@ -53,8 +53,9 @@ from .states import (
 from .toric import RELATION_TEXT, cube, delzant_check, lattice_points, normal_fan_box
 from .toric import max_segre_residual, relation_table
 
-# Not called here: segre works from relation_table. benchmarks/tracer.py
-# wraps both at these names.
+# Not called here: analyze runs through _reports, and segre works from
+# relation_table. benchmarks/tracer.py wraps all three at these names.
+from .analyzer import analyze  # noqa: F401
 from .toric import relation_residual, segre_relations  # noqa: F401
 
 __all__ = ["main", "build_parser"]
@@ -187,7 +188,12 @@ def _cmd_analyze(args) -> int:
     target = getattr(args, "path", None)
     if target and Path(target).is_dir() and not args.state:
         return _analyze_directory(args, target)
-    report = analyze(_resolve_state(args), args.tol)
+    # One state is analyzed as a batch of one, from its cached unit vector,
+    # so it gets the report its file gets in a directory.
+    state = _resolve_state(args)
+    if state.num_qubits < 2:
+        raise WrongQubitCountError("analysis needs at least 2 qubits")
+    report = _reports(state._unit[None], args.tol)[0]
     if args.format == "json":
         _emit_json(args, report.to_dict())
     else:
@@ -367,7 +373,8 @@ def _cmd_moment(args) -> int:
 
 def _cmd_tangle(args) -> int:
     state = _resolve_state(args)
-    measures = applicable_measures(state)
+    rows = _measures_many(state._unit[None])
+    measures = {name: values.tolist()[0] for name, values in rows.items()}
     if not measures:
         raise _CliError(f"no tangle defined for a {state.num_qubits}-qubit state", code=3)
     if args.format == "json":

@@ -157,8 +157,17 @@ class MultiQubitState:
         return self._unit.tolist()
 
     def normalized(self) -> "MultiQubitState":
-        """The same projective state scaled to unit norm."""
-        return MultiQubitState(self.num_qubits, self._unit)
+        """The same projective state scaled to unit norm.
+
+        Its amplitudes are this state's cached unit vector, which is also its
+        own: normalizing it again returns the same bits. The vector was
+        validated with this state, so it is not validated a second time.
+        """
+        unit = object.__new__(MultiQubitState)
+        object.__setattr__(unit, "num_qubits", self.num_qubits)
+        object.__setattr__(unit, "amplitudes", self._unit)
+        object.__setattr__(unit, "_unit", self._unit)
+        return unit
 
 
 def unit_vectors(amplitudes) -> tuple[np.ndarray, np.ndarray]:
@@ -256,7 +265,11 @@ def bits_to_index(bits: Sequence[int]) -> int:
 
 
 def make_state(num_qubits: int, amplitudes, normalize: bool = True) -> MultiQubitState:
-    """Validate and build a state; scale to unit norm when ``normalize``."""
+    """Validate and build a state; scale to unit norm when ``normalize``.
+
+    Either way the state's unit vector is that of the raw amplitudes, so
+    ``normalize`` changes only ``state.amplitudes``.
+    """
     state = MultiQubitState(num_qubits, amplitudes)
     return state.normalized() if normalize else state
 
@@ -277,6 +290,7 @@ def segre_embed(factors: Sequence[QubitFactor]) -> MultiQubitState:
     factors = list(factors)
     if not factors:
         raise EmptyFactorListError("need at least one factor")
+    check_qubit_count(len(factors))
     amplitudes = _product_amplitudes(np.array([(f.a0, f.a1) for f in factors]))
     return MultiQubitState(len(factors), amplitudes)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qtoric import (
+    MultiQubitState,
     cube,
     lattice_points,
     max_segre_residual,
@@ -242,8 +243,8 @@ def test_analyze_directory_mixed_records(tmp_path):
 
 
 def test_analyze_directory_matches_per_file_reports(tmp_path):
-    # The batched directory route and the per-file scalar route give the same
-    # records: same keys in the same order, numbers within 1e-12.
+    # The batched directory route and the per-file route give the same
+    # records: same keys in the same order, same numbers.
     rng = np.random.default_rng(9)
     for k in range(8):
         m = 2 + k % 4
@@ -257,19 +258,45 @@ def test_analyze_directory_matches_per_file_reports(tmp_path):
         assert record[0][0] == "path"
         single = run_cli("analyze", str(tmp_path / record[0][1]), "--format", "json")
         assert single.returncode == 0
-        _assert_close(record[1:], json.loads(single.stdout, object_pairs_hook=list))
+        assert record[1:] == json.loads(single.stdout, object_pairs_hook=list)
 
 
-def _assert_close(got, want):
-    """Equal JSON trees, key order included, with numbers within 1e-12."""
-    if isinstance(want, (list, tuple)):
-        assert type(got) is type(want) and len(got) == len(want)
-        for g, w in zip(got, want):
-            _assert_close(g, w)
-    elif isinstance(want, float) and not isinstance(got, bool):
-        assert isinstance(got, (int, float)) and abs(got - want) <= 1e-12, (got, want)
-    else:
-        assert got == want
+def test_one_file_gets_the_same_bits_from_every_command(tmp_path, capsys):
+    # Every command starts from one unit vector per input, the raw amplitudes
+    # normalized once, and analyze takes one route for a file and for a
+    # directory. So a file's report is the same bytes alone or in a
+    # directory, and tangle, segre and moment print its measures, residual
+    # and moment image exactly: at any scale, normalized on reading or not.
+    rng = np.random.default_rng(14)
+    for k in range(40):
+        m = 2 + k % 5
+        if k % 2:
+            amplitudes = rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m)
+        else:
+            amplitudes = random_product_state(rng, m).amplitudes
+        amplitudes = amplitudes * (1.0, 1e200, 1e-200)[k % 3]
+        data = {**state_to_dict(MultiQubitState(m, amplitudes)), "normalize": k % 4 < 2}
+        (tmp_path / f"s{k:02d}.json").write_text(json.dumps(data))
+    assert main(["analyze", str(tmp_path), "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert len(records) == 40 and 0 < sum(r["separable"] for r in records) < 40
+    for record in records:
+        path = str(tmp_path / record.pop("path"))
+        assert main(["analyze", path, "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(record, indent=2) + "\n", path
+
+        code = main(["tangle", path, "--format", "json"])
+        tangled = json.loads(capsys.readouterr().out or "{}")
+        assert code == (0 if record["measures"] else 3), path
+        assert tangled.get("measures", {}) == record["measures"], path
+
+        assert main(["segre", path, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["max_residual"] == record["max_residual"], path
+
+        code = main(["moment", path, "--format", "json"])
+        moment = json.loads(capsys.readouterr().out or "{}")
+        assert code == (0 if record["separable"] else 3), path
+        assert moment.get("moment_image") == record["moment_image"], path
 
 
 def test_analyze_directory_all_good_quiet(tmp_path):

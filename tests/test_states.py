@@ -17,6 +17,8 @@ from qtoric import (
     QubitLimitError,
     UnknownNameError,
     ZeroStateError,
+    analyze,
+    analyze_many,
     bits_to_index,
     conjugate_state,
     index_bits,
@@ -29,6 +31,7 @@ from qtoric import (
     state_from_dict,
     state_to_dict,
 )
+import qtoric.states
 from qtoric.states import unit_vectors
 from helpers import random_factor, random_product_state, random_state
 
@@ -215,6 +218,58 @@ def test_qubit_cap_checked_before_allocation():
     with pytest.raises(QubitLimitError):
         named_state("ghz40")
     assert named_state(f"ghz{MAX_QUBITS}").amplitudes.size == 1 << MAX_QUBITS
+
+
+def test_segre_embed_checks_qubit_cap_before_product(monkeypatch):
+    # 2^13 amplitudes would fit, but the product of 40 factors would not: the
+    # cap must be checked before the product is formed.
+    calls = []
+    product = qtoric.states._product_amplitudes
+    monkeypatch.setattr(
+        qtoric.states, "_product_amplitudes", lambda f: calls.append(f.shape) or product(f)
+    )
+    with pytest.raises(QubitLimitError, match=f"limited to {MAX_QUBITS} qubits"):
+        segre_embed([QubitFactor(1, 0)] * (MAX_QUBITS + 1))
+    assert calls == []
+    assert segre_embed([QubitFactor(1, 0)] * MAX_QUBITS).amplitudes[0] == 1 and len(calls) == 1
+
+
+def test_states_are_normalized_once(monkeypatch):
+    # A normalized state's amplitudes are the raw state's unit vector and its
+    # own, so every reader validates once, normalizing again changes no bit,
+    # and a state read normalized is analyzed as its raw row is.
+    validate = MultiQubitState.__post_init__
+    built = []
+
+    def counted(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(MultiQubitState, "__post_init__", counted)
+    rng = np.random.default_rng(14)
+    raw = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    data = {"qubits": 3, "amplitudes": [[a.real, a.imag] for a in raw.tolist()]}
+    for read in (lambda: state_from_dict(data), lambda: make_state(3, raw), lambda: named_state("w3")):
+        built.clear()
+        state = read()
+        assert len(built) == 1
+        again = state.normalized()
+        assert again.amplitudes.tobytes() == state.amplitudes.tobytes() and len(built) == 1
+        assert not again.amplitudes.flags.writeable
+    for m in range(2, 7):
+        for kind in range(6):
+            if kind % 2:
+                row = rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m)
+            else:
+                row = random_product_state(rng, m).amplitudes
+            row = row * (1.0, 1e200, 1e-200)[kind // 2]
+            got, want = analyze(make_state(m, row)), analyze_many([row])[0]
+            assert got.separable == want.separable and got.max_residual == want.max_residual
+            assert got.factors == want.factors
+            if want.moment_image is None:
+                assert got.moment_image is None
+            else:
+                assert got.moment_image.tolist() == want.moment_image.tolist()
 
 
 @given(st.integers(min_value=1, max_value=10), st.data())
