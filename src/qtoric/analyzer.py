@@ -153,25 +153,20 @@ def _pivot_factors(unit: np.ndarray) -> np.ndarray:
     return (pairs.view(float) / length).view(complex).reshape(*unit.shape[:-1], m, 2)
 
 
-def _verdict(state: MultiQubitState, tol: float) -> tuple:
-    """The largest relation residual (0 at m = 1), then factors and moment image, or None, None."""
-    _check_tolerance(tol)
-    max_residual = max_segre_residual(state) if state.num_qubits > 1 else 0.0
-    factors = extract_factors(state, tol) if max_residual <= tol else None
-    return max_residual, factors, None if factors is None else moment_product(factors)
-
-
 def analyze(state: MultiQubitState, tol: float = DEFAULT_TOLERANCE) -> AnalysisReport:
     """Run the full pipeline on one state."""
     if state.num_qubits < 2:
         raise WrongQubitCountError("analysis needs at least 2 qubits")
-    max_residual, factors, moment_image = _verdict(state, tol)
+    _check_tolerance(tol)
+    # Stages are module globals looked up at call time, so a tracer can patch them.
+    max_residual = max_segre_residual(state)
+    factors = extract_factors(state, tol) if max_residual <= tol else None
     return AnalysisReport(
         num_qubits=state.num_qubits,
         separable=factors is not None,
         max_residual=max_residual,
         factors=factors,
-        moment_image=moment_image,
+        moment_image=None if factors is None else moment_product(factors),
         measures=applicable_measures(state),
         tolerance=float(tol),
     )
@@ -196,12 +191,13 @@ def analyze_many(amplitudes, tol: float = DEFAULT_TOLERANCE) -> list[AnalysisRep
 
 
 def _reports(unit: np.ndarray, tol: float) -> list[AnalysisReport]:
-    """The report of each row of an (N, 2^m) array of unit vectors, m >= 2.
+    """The report of each row of an (N, 2^m) array of unit vectors, m >= 1.
 
-    Row by row: a row gets the same bits alone as in any batch.
+    Row by row: a row gets the same bits alone as in any batch. A single
+    qubit has no 2x2 minor, so its residual is 0 and reconstruction decides.
     """
     m = unit.shape[1].bit_length() - 1
-    residuals = largest_minors(unit)
+    residuals = largest_minors(unit) if m > 1 else np.zeros(len(unit))
 
     factors = _pivot_factors(unit)
     image = _images(factors)[..., 0]  # moment_product of each row's factors

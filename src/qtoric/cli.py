@@ -32,7 +32,6 @@ from .analyzer import (
     DEFAULT_TOLERANCE,
     _measures_many,
     _reports,
-    _verdict,
     analyze_many,
     measures_to_dict,
 )
@@ -126,15 +125,20 @@ def _resolve_state(args) -> MultiQubitState:
 def _emit(args, text) -> None:
     """Write ``text``, a str or an iterable of str pieces, ending in a newline."""
     pieces = [text] if isinstance(text, str) else text
-    out = getattr(args, "output", None)
-    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as handle:
-        ends_with_newline = False
-        for piece in pieces:
-            if piece:
-                handle.write(piece)
-                ends_with_newline = piece.endswith("\n")
-        if not ends_with_newline:
-            handle.write("\n")
+    out = args.output
+    try:
+        with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as handle:
+            ends_with_newline = False
+            for piece in pieces:
+                if piece:
+                    handle.write(piece)
+                    ends_with_newline = piece.endswith("\n")
+            if not ends_with_newline:
+                handle.write("\n")
+    except OSError as exc:
+        if not out:
+            raise
+        raise QToricError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 _ROWS = "@rows@"
@@ -343,7 +347,7 @@ def _cmd_moment(args) -> int:
             raise _CliError("give either a point file or --state, not both", code=1)
         image = moment_projective(point_from_dict(_load_json(path)))
     else:
-        image = _verdict(_resolve_state(args), args.tol)[2]
+        image = _reports(_resolve_state(args)._unit[None], args.tol)[0].moment_image
         if image is None:
             raise _CliError("state is not a product; moment map undefined", code=3)
     box = BoxPolytope.moment_box(len(image))
@@ -513,30 +517,34 @@ def _cmd_embed(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument(
+    # Each subcommand takes only the options it reads; argparse refuses the rest.
+    output = _Parser(add_help=False)
+    output.add_argument("-o", "--output", metavar="PATH", help="write output to a file")
+    formatted = _Parser(add_help=False, parents=[output])
+    formatted.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    common.add_argument(
-        "--tol", type=float, default=DEFAULT_TOLERANCE, help="numeric tolerance"
-    )
-    common.add_argument(
+    stated = _Parser(add_help=False, parents=[formatted])
+    stated.add_argument(
         "--state", metavar="NAME", help="named fixture: bell, ghz<m>, w3, or a bitstring"
     )
-    common.add_argument("-o", "--output", metavar="PATH", help="write output to a file")
+    judged = _Parser(add_help=False, parents=[stated])
+    judged.add_argument(
+        "--tol", type=float, default=DEFAULT_TOLERANCE, help="numeric tolerance"
+    )
 
     parser = _Parser(prog="qtoric", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"qtoric {__version__}")
     commands = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     analyze_p = commands.add_parser(
-        "analyze", parents=[common], help="separability report for a state (or a directory)"
+        "analyze", parents=[judged], help="separability report for a state (or a directory)"
     )
     analyze_p.add_argument("path", nargs="?", help="state JSON file or directory")
     analyze_p.set_defaults(run=_cmd_analyze)
 
     segre_p = commands.add_parser(
-        "segre", parents=[common], help="binomial relations and residuals"
+        "segre", parents=[stated], help="binomial relations and residuals"
     )
     segre_p.add_argument("path", nargs="?", help="state JSON file")
     segre_p.add_argument("-m", type=int, help="qubit count for --list")
@@ -544,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     segre_p.set_defaults(run=_cmd_segre)
 
     moment_p = commands.add_parser(
-        "moment", parents=[common], help="moment-map image of a product state or point"
+        "moment", parents=[judged], help="moment-map image of a product state or point"
     )
     moment_p.add_argument("path", nargs="?", help="state (or point) JSON file")
     moment_p.add_argument(
@@ -553,19 +561,19 @@ def build_parser() -> argparse.ArgumentParser:
     moment_p.set_defaults(run=_cmd_moment)
 
     tangle_p = commands.add_parser(
-        "tangle", parents=[common], help="applicable tangle measures"
+        "tangle", parents=[stated], help="applicable tangle measures"
     )
     tangle_p.add_argument("path", nargs="?", help="state JSON file")
     tangle_p.set_defaults(run=_cmd_tangle)
 
     invariants_p = commands.add_parser(
-        "invariants", parents=[common], help="four-qubit invariant table"
+        "invariants", parents=[stated], help="four-qubit invariant table"
     )
     invariants_p.add_argument("path", nargs="?", help="state JSON file")
     invariants_p.set_defaults(run=_cmd_invariants)
 
     polytope_p = commands.add_parser(
-        "polytope", parents=[common], help="cube vertices, Delzant verdict, points, fan"
+        "polytope", parents=[formatted], help="cube vertices, Delzant verdict, points, fan"
     )
     polytope_p.add_argument("shape", choices=("cube",), help="polytope family")
     polytope_p.add_argument("-m", type=int, help="dimension")
@@ -580,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     polytope_p.set_defaults(run=_cmd_polytope)
 
     embed_p = commands.add_parser(
-        "embed", parents=[common], help="embed single-qubit factors into a state file"
+        "embed", parents=[output], help="embed single-qubit factors into a state file"
     )
     embed_p.add_argument("factors", help="factor JSON file")
     embed_p.set_defaults(run=_cmd_embed)

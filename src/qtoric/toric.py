@@ -554,10 +554,10 @@ minor matrices."""
 _BLOCK = 7 << 10
 """Complex entries of one buffer of the certificate, 112 KiB: below glibc's
 128 KiB mmap threshold, so the buffers come from the heap and not from pages
-mapped afresh on every call. :func:`largest_minors` gathers the flattenings
-of as many whole rows as fill a buffer, and :func:`_tiled_largest_minors`
-forms a tile for as many as fill one, at least one row in both; a row whose
-tile does not fit is formed in equal pieces."""
+mapped afresh on every call. :func:`largest_minors` cuts a batch into blocks
+of as many whole rows as fill a buffer with one tile of each flattening, at
+least one row, and :func:`_tiled_largest_minors` forms each tile of a call in
+equal pieces of at most this many entries."""
 
 _PRUNE_COLUMNS = 64
 """Flattenings of more columns than this, m >= 8, skip tiles by the bounds;
@@ -621,15 +621,19 @@ def largest_minors(unit) -> np.ndarray:
     formed, so a basis state forms only the heaviest. States whose columns
     all weigh the same, such as uniform and graph states, still form every
     tile, at O(m 4^m).
+
+    The rows go to the kernel in the blocks of ``_BLOCK``, each block's
+    flattenings gathered just before its call.
     """
     unit, m = _state_rows(unit, "the Segre certificate")
     columns = _flattening_columns(m)
-    per_chunk = max(1, _BLOCK // columns[0].size)
+    side = min(columns.shape[2], _TILE)
+    per_block = max(1, _BLOCK // (m * side * side))
     worst = np.empty(len(unit))
-    for start in range(0, len(unit), per_chunk):
-        rows = unit[start : start + per_chunk]
+    for start in range(0, len(unit), per_block):
+        rows = unit[start : start + per_block]
         r0, r1 = rows.take(columns[0], axis=1), rows.take(columns[1], axis=1)
-        worst[start : start + per_chunk] = _tiled_largest_minors(r0, r1)
+        worst[start : start + per_block] = _tiled_largest_minors(r0, r1)
     return worst
 
 
@@ -656,16 +660,16 @@ def _tiled_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
     tiles on or above the diagonal are formed: the tile of column ranges I
     and J is ``r0[I, None] * r1[None, J] - r0[None, J] * r1[I, None]``,
     ``_TILE`` on a side, and a diagonal tile reads its second term as the
-    transpose of its first. Each tile is formed at once for the flattenings
-    of the whole rows of one block, in three buffers of at most ``_BLOCK``
-    entries, in pieces where one row does not fit.
+    transpose of its first. Each tile is formed at once for every flattening
+    of the call, in three buffers, in equal pieces of at most ``_BLOCK``
+    entries.
 
     Above ``_PRUNE_COLUMNS`` columns, each flattening's columns are sorted
     by their norm ``hypot(|r0|, |r1|)``. The last tile, of the heaviest
     columns, is formed first, and its largest minor over a row's m
     flattenings is a lower bound L of the row's answer; :func:`_needed_tiles`
-    then picks, once per block, the tiles that a bound cannot rule out on
-    every flattening of the block. A skipped minor cannot exceed L and every
+    then picks, once per call, the tiles that a bound cannot rule out on
+    every flattening of the call. A skipped minor cannot exceed L and every
     other one is formed as without the skip, so the result is the same to
     the bit.
     """
@@ -686,14 +690,16 @@ def _tiled_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
     else:
         tiles = [(i, j) for i in range(last + 1) for j in range(i, last + 1)]
     r0, r1 = r0.reshape(-1, n), r1.reshape(-1, n)
-    per_block = min(count, max(1, _BLOCK // (m * side * side))) * m
-    per_piece = math.ceil(per_block / math.ceil(per_block * side * side / _BLOCK))
+    per_piece = math.ceil(len(r0) / math.ceil(len(r0) * side * side / _BLOCK))
     products = np.empty((per_piece, side, side), dtype=complex)
     minors, sizes = np.empty_like(products), np.empty(products.shape)
+    worst = np.zeros(len(r0))
 
-    def form(i, j, work):
+    def form(i, j):
         block_i, block_j = spans[i], spans[j]
-        for b0, b1, top, d, e, a in work:
+        for low in range(0, len(r0), per_piece):
+            b0, b1 = r0[low : low + per_piece], r1[low : low + per_piece]
+            d, e, a = products[: len(b0)], minors[: len(b0)], sizes[: len(b0)]
             np.multiply(b0[:, block_i, None], b1[:, None, block_j], out=d)
             if i == j:
                 np.subtract(d, d.transpose(0, 2, 1), out=e)
@@ -701,39 +707,26 @@ def _tiled_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
                 np.multiply(b0[:, None, block_j], b1[:, block_i, None], out=e)
                 np.subtract(d, e, out=e)
             np.abs(e, out=a)
+            top = worst[low : low + per_piece]
             np.maximum(top, a.max(axis=(1, 2)), out=top)
 
-    worst = np.zeros(len(r0))
-    for start in range(0, len(r0), per_block):
-        a0, a1 = r0[start : start + per_block], r1[start : start + per_block]
-        best = worst[start : start + len(a0)]
-        pieces = [(a0, a1, best)]
-        if len(a0) > per_piece:  # one row too large for the buffers
-            pieces = [
-                (a0[low : low + per_piece], a1[low : low + per_piece], best[low : low + per_piece])
-                for low in range(0, len(a0), per_piece)
-            ]
-        work = [
-            (b0, b1, top, products[: len(b0)], minors[: len(b0)], sizes[: len(b0)])
-            for b0, b1, top in pieces
-        ]
-        if prune:
-            form(last, last, work)
-            tiles = _needed_tiles(a0, a1, heads[start // m : (start + len(a0)) // m], best)
-        for i, j in tiles:
-            form(i, j, work)
+    if prune:
+        form(last, last)
+        tiles = _needed_tiles(r0, r1, heads, worst)
+    for i, j in tiles:
+        form(i, j)
     return worst.reshape(count, m).max(axis=1)
 
 
 def _needed_tiles(
     r0: np.ndarray, r1: np.ndarray, heads: np.ndarray, best: np.ndarray
 ) -> list[tuple[int, int]]:
-    """The tiles (i, j), i <= j, that one block must form after its heaviest.
+    """The tiles (i, j), i <= j, that one call must form after its heaviest.
 
-    ``r0`` and ``r1`` are the block's (R m, n) flattening rows, columns
+    ``r0`` and ``r1`` are the call's (R m, n) flattening rows, columns
     sorted by norm; ``heads`` is the (R, m, n / _TILE) array of each span's
     largest norm, and ``best`` each flattening's largest minor so far. A
-    tile is needed when on some flattening of the block its bound exceeds
+    tile is needed when on some flattening of the call its bound exceeds
     the row's lower bound L over ``1 + _SLACK``, or L is below ``_TINY``.
 
     The first bound is Hadamard's, ``|P_cd| <= n_c n_d``: no minor of tile

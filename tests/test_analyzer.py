@@ -322,6 +322,7 @@ def _assert_same_report(got, want):
         assert abs(got.measures[name] - value) <= 1e-12, name
 
 
+@pytest.mark.bitexact
 @settings(max_examples=60, deadline=None)
 @given(
     m=st.integers(min_value=2, max_value=6),
@@ -344,6 +345,7 @@ def test_analyze_many_matches_analyze(m, kinds, transform, seed):
     _assert_batch_matches_scalar([s.amplitudes for s in states])
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize("m", [6, 8])
 def test_analyze_many_reconstruction_gate(m):
     # A flat product moved off the variety by 1e-7: with the tolerance at

@@ -10,8 +10,10 @@ import pytest
 from qtoric import (
     MultiQubitState,
     cube,
+    extract_factors,
     lattice_points,
     max_segre_residual,
+    moment_product,
     named_state,
     relation_residual,
     segre_relations,
@@ -242,6 +244,7 @@ def test_analyze_directory_mixed_records(tmp_path):
         assert f"== {name}\nerror: {message}\n" in text + "\n"
 
 
+@pytest.mark.bitexact
 def test_analyze_directory_matches_per_file_reports(tmp_path):
     # The batched directory route and the per-file route give the same
     # records: same keys in the same order, same numbers.
@@ -261,6 +264,7 @@ def test_analyze_directory_matches_per_file_reports(tmp_path):
         assert record[1:] == json.loads(single.stdout, object_pairs_hook=list)
 
 
+@pytest.mark.bitexact
 def test_one_file_gets_the_same_bits_from_every_command(tmp_path, capsys):
     # Every command starts from one unit vector per input, the raw amplitudes
     # normalized once, and analyze takes one route for a file and for a
@@ -399,6 +403,7 @@ def test_segre_text_is_relation_str(capsys):
     assert out == "\n".join(lines) + "\n"
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize("m", [5, 6, 7])
 def test_segre_residual_column_matches_relation_residual(capsys, tmp_path, m):
     # The CLI multiplies the gathered amplitude columns as arrays, which may
@@ -432,6 +437,7 @@ def test_moment_entangled_exits_3(bell_file):
     assert "state is not a product; moment map undefined" in result.stderr
 
 
+@pytest.mark.bitexact
 def test_moment_takes_the_analyze_verdict(tmp_path, capsys):
     # A basis state plus 5e-10 on |11>: the pivot factors reconstruct it to
     # 5e-10, within 10 * tol, but its residual 5e-10 fails the residual gate
@@ -447,6 +453,19 @@ def test_moment_takes_the_analyze_verdict(tmp_path, capsys):
     # A single qubit has no Segre relation; reconstruction alone decides.
     assert main(["moment", "--state", "1"]) == 0
     assert "moment image: (-0.5)" in capsys.readouterr().out
+    # At any scale, and with a zero component, the batch route prints the
+    # image of the library's scalar route to the bit.
+    rng = np.random.default_rng(15)
+    path = tmp_path / "qubit.json"
+    for scale in (1.0, 1e200, 1e-200, 1e-310):
+        for pair in ([1, 0], [0, 1j], rng.standard_normal(4).view(complex)):
+            amplitudes = [[scale * a.real, scale * a.imag] for a in np.asarray(pair, complex)]
+            data = {"qubits": 1, "amplitudes": amplitudes}
+            path.write_text(json.dumps(data))
+            assert main(["moment", str(path), "--format", "json"]) == 0
+            printed = json.loads(capsys.readouterr().out)["moment_image"]
+            want = moment_product(extract_factors(state_from_dict(data), 1e-10))
+            assert printed == want.tolist(), (scale, pair)
 
 
 def test_moment_projective_point(tmp_path):
@@ -479,6 +498,7 @@ def test_tangle_odd_m_beyond_three_is_domain_error():
     assert result.returncode == 3
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize("source", ["0", "bell", "ghz3", "ghz4", "ghz5", "ghz6", 2, 3, 4])
 def test_tangle_prints_the_analyze_measures(source, tmp_path, capsys):
     # A name is a fixture; a qubit count stands for a random state file.
@@ -635,6 +655,38 @@ def test_output_flag_writes_file(tmp_path):
     result = run_cli("tangle", "--state", "bell", "-o", str(out))
     assert result.returncode == 0
     assert "concurrence = 1" in out.read_text()
+
+
+def test_output_flag_unwritable_path_exits_2(tmp_path):
+    out = tmp_path / "missing" / "out.txt"
+    result = run_cli("tangle", "--state", "bell", "-o", str(out))
+    assert result.returncode == 2
+    assert f"cannot write {out}" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("polytope", "cube", "-m", "2", "--state", "bell"),
+        ("embed", "factors.json", "--state", "bell"),
+        ("segre", "--state", "bell", "--tol", "0.5"),
+        ("tangle", "--state", "bell", "--tol", "0.5"),
+        ("invariants", "--state", "ghz4", "--tol", "0.5"),
+        ("polytope", "cube", "-m", "2", "--tol", "0.5"),
+        ("embed", "factors.json", "--tol", "0.5"),
+        ("embed", "factors.json", "--format", "json"),
+    ],
+)
+def test_options_a_command_does_not_read_are_usage_errors(argv, capsys):
+    # Each subcommand takes only the options it reads.
+    with pytest.raises(SystemExit) as exit_:
+        main(list(argv))
+    assert exit_.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
 
 
 def test_nonpositive_tol_rejected():

@@ -77,6 +77,7 @@ def test_moment_never_emits_negative_zero():
     assert str(image[0]) == "0.0"
 
 
+@pytest.mark.bitexact
 def test_moment_product_matches_projective_per_factor():
     rng = np.random.default_rng(23)
     for _ in range(100):
@@ -89,6 +90,7 @@ def test_moment_product_matches_projective_per_factor():
         assert np.array_equal(combined, per_factor)
 
 
+@pytest.mark.bitexact
 def test_moment_maps_whole_finite_range():
     # Integer coordinates times a power of two are exact from the subnormal
     # range to the top of the float range, so every image and every

@@ -78,6 +78,7 @@ def test_conjugate_imaginary():
     assert np.array_equal(conjugate_state(s).amplitudes, [-1j, 0])
 
 
+@pytest.mark.bitexact
 def test_unit_vectors_whole_finite_range():
     # Scaling by a power of two changes no bit of a unit vector, from the
     # subnormal range to the top of the float range; a batch gives each row
