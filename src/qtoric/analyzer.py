@@ -199,23 +199,26 @@ def _reports(unit: np.ndarray, tol: float) -> list[AnalysisReport]:
     m = unit.shape[1].bit_length() - 1
     residuals = largest_minors(unit) if m > 1 else np.zeros(len(unit))
 
-    factors = _pivot_factors(unit)
+    passed = np.flatnonzero(residuals <= tol)  # only these rows are factored
+    rows = unit[passed]
+    factors = _pivot_factors(rows)
     image = _images(factors)[..., 0]  # moment_product of each row's factors
-    separable = (residuals <= tol) & _reconstructs(unit, _product_amplitudes(factors), tol)
+    rebuilt = _reconstructs(rows, _product_amplitudes(factors), tol).tolist()
+    kept = {i: k for k, i in enumerate(passed.tolist()) if rebuilt[k]}  # row -> factored row
 
     measures = {name: values.tolist() for name, values in _measures_many(unit).items()}
-    residuals, a0, a1 = residuals.tolist(), factors[..., 0].tolist(), factors[..., 1].tolist()
+    a0, a1 = factors[..., 0].tolist(), factors[..., 1].tolist()
     return [
         AnalysisReport(
             num_qubits=m,
-            separable=ok,
-            max_residual=residuals[i],
-            factors=tuple(map(QubitFactor, a0[i], a1[i])) if ok else None,
-            moment_image=image[i] if ok else None,
+            separable=i in kept,
+            max_residual=residual,
+            factors=tuple(map(QubitFactor, a0[kept[i]], a1[kept[i]])) if i in kept else None,
+            moment_image=image[kept[i]] if i in kept else None,
             measures={name: values[i] for name, values in measures.items()},
             tolerance=float(tol),
         )
-        for i, ok in enumerate(separable.tolist())
+        for i, residual in enumerate(residuals.tolist())
     ]
 
 

@@ -41,6 +41,7 @@ from .moment import BoxPolytope, in_polytope, moment_projective
 from .states import (
     MultiQubitState,
     QubitFactor,
+    check_qubit_count,
     named_state,
     parse_complex_pair,
     point_from_dict,
@@ -77,6 +78,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    # A subcommand refuses an option it does not take itself, so the error
+    # shows that subcommand's usage line and not the top-level one.
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
 
 
 def _fmt(value: float) -> str:
@@ -494,6 +503,7 @@ def _factors_from_file(path: str) -> list[QubitFactor]:
     raw = data["factors"]
     if not isinstance(raw, list) or not raw:
         raise SchemaError('"factors" must be a nonempty array')
+    check_qubit_count(len(raw))  # before any factor is parsed
     factors = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, list) or len(entry) != 2:

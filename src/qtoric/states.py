@@ -394,6 +394,8 @@ def read_state_fields(data) -> tuple[int, list[complex]]:
     raw = data["amplitudes"]
     if not isinstance(raw, list):
         raise SchemaError('"amplitudes" must be an array of [re, im] pairs')
+    if len(raw) != 1 << qubits:  # before any pair is parsed
+        raise LengthMismatchError(f"expected {1 << qubits} amplitudes, found {len(raw)}")
     amps = [parse_complex_pair(v, f"amplitudes[{i}]") for i, v in enumerate(raw)]
     if not isinstance(data.get("normalize", True), bool):
         raise SchemaError('"normalize" must be a boolean')
@@ -415,5 +417,9 @@ def point_from_dict(data) -> ProjectivePoint:
     raw = data["coords"]
     if not isinstance(raw, list):
         raise SchemaError('"coords" must be an array of [re, im] pairs')
+    if len(raw) > 1 << MAX_QUBITS:  # as many as the largest state has amplitudes
+        raise LengthMismatchError(
+            f"a point is limited to {1 << MAX_QUBITS} coordinates, got {len(raw)}"
+        )
     coords = [parse_complex_pair(v, f"coords[{i}]") for i, v in enumerate(raw)]
     return ProjectivePoint(np.array(coords, dtype=complex))

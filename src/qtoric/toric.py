@@ -564,21 +564,22 @@ _PRUNE_COLUMNS = 64
 smaller ones cost less whole than the bounds cost."""
 
 _SLACK = 2.0**-32
-"""Relative margin of the skip threshold, far above the rounding error of
-the norms, their products and the minors (a few units of 2^-53)."""
+"""Relative margin of the skip threshold L / (1 + _SLACK): a bound that
+rounding left up to 2^21 u too small (u = 2^-53) skips nothing it must not.
+That covers Hadamard's bound, off by two norms (within 4u each), a product
+and the (sqrt(5) + 3)u of a minor, and the Pluecker bound's three norms and
+five operations: under 20u in all."""
 
 _TINY = 1e-300
 """Least lower bound L that skips tiles by the bounds. Norms are taken
-without squares, so only a product of norms, of a norm and a minor, or a
-minor itself below the normal range can underflow, and each underflow errs
-by at most 2^-1074, which the bounds' division by the heaviest norm (at
-least 2^-5.5 on a unit row) leaves far below L 2^-32 for L above this floor.
-Rows whose L is below it, or NaN, form every tile but those of zero
-columns."""
-
-_PLUECKER_SLACK = 2.0**-40
-"""Relative margin of the Pluecker bound for the rounding of the norms
-(within 4u each, u = 2^-53) and of the bound's own five operations."""
+without squares, so only a product below the normal range can underflow,
+by 2^-1068 at most after the division by n_p: far below L 2^-32 here. Rows
+whose L is below it, or NaN, form every tile but those of zero columns. It
+guards rows whose formed minors all but vanish; no input is known whose
+result it changes. Products, random- and parity-phase, sparse and basis
+rows 1e-305 to 1e-320 off gave none at m = 8-10, nor did exact products with
+a factor (1, e), |e| near 2^-520: e's own flattening has no light columns,
+so it needs every tile where the others hold minors of one subnormal unit."""
 
 _MINOR_ERROR = 2.0**-49
 """K = 16u, the rounding term of the Pluecker bound, in units of the norm
@@ -596,10 +597,9 @@ pivot minor |P_pd| exceeds the computed a_pd by at most e n_p n_d, so
     a_cd <= (a_pd n_c + a_pc n_d) / n_p + 3e n_c n_d,
 
 with 3e = 15.71u. The norms are within 4u, which moves the last term by
-O(u^2) and the first by far less than ``_PLUECKER_SLACK``. On 300 exact and
-near products at m = 6-9, some mapped by SL(2, C), thinned to a tenth or
-with half their amplitudes scaled by 1e-200, the largest term needed was
-2.25u."""
+O(u^2) and the first by a relative rounding that ``_SLACK`` covers. Against
+exact minors at m = 2-6 the largest error seen was 3.02u, against e = 5.24u;
+on exact and near products the largest term needed was 2.25u."""
 
 
 def largest_minors(unit) -> np.ndarray:
@@ -729,15 +729,15 @@ def _needed_tiles(
     tile is needed when on some flattening of the call its bound exceeds
     the row's lower bound L over ``1 + _SLACK``, or L is below ``_TINY``.
 
-    The first bound is Hadamard's, ``|P_cd| <= n_c n_d``: no minor of tile
-    (I, J) exceeds ``N_I N_J``, the product of its heads. On states far from
-    the Segre variety it leaves only the heaviest tile. Where it leaves
-    more, two things follow.
-
     A zero head becomes NaN, on which every bound compares false, so the
     tiles of a span of zero columns are skipped whatever L is: each of their
     minors is exactly 0. The heads are tested for zero one by one, because
     the product of two nonzero heads can underflow.
+
+    The first bound is Hadamard's, ``|P_cd| <= n_c n_d``: no minor of tile
+    (I, J) exceeds ``N_I N_J``, the product of its heads. On states far from
+    the Segre variety, and on an exact basis state, it leaves only the
+    heaviest tile. Where it leaves more, a second bound follows.
 
     The second bound comes from the three-term Pluecker relation of columns
     x_c, x_d and the heaviest column x_p, ``P_cd x_p = P_pd x_c - P_pc
@@ -745,9 +745,9 @@ def _needed_tiles(
     minors ``|P_pc|`` cost O(n) per flattening. They are formed as the tiles
     form minor (c, p), so they are folded into ``best`` first, which raises
     L. With T_I their largest value over span I, tile (I, J) is bounded by
-    ``(N_I T_J + N_J T_I) / n_p (1 + _PLUECKER_SLACK) + _MINOR_ERROR N_I
-    N_J``, which also covers the rounding of every minor involved. On exact
-    and near products it rules out all but the heaviest few tiles.
+    ``(N_I T_J + N_J T_I) / n_p + _MINOR_ERROR N_I N_J``, which also covers
+    the rounding of every minor involved. On exact and near products it
+    rules out all but the heaviest few tiles.
     """
     rows, m, _ = heads.shape
 
@@ -758,18 +758,17 @@ def _needed_tiles(
         needed[-1, -1] = False  # formed first
         return needed
 
-    needed = needed_by(heads[..., :, None] * heads[..., None, :])
-    if not needed.any():
-        return []
     heads = np.where(heads == 0, np.nan, heads)
     head_i, head_j = heads[..., :, None], heads[..., None, :]
     hadamard = head_i * head_j
+    if not needed_by(hadamard).any():
+        return []
     pivot = np.abs(r0 * r1[:, -1:] - r0[:, -1:] * r1)
     np.maximum(best, pivot.max(axis=1), out=best)
     reach = pivot.reshape(heads.shape + (-1,)).max(axis=3)
     pluecker = head_i * reach[..., None, :] + head_j * reach[..., :, None]
     pluecker /= heads[..., -1:, None]
-    pluecker = pluecker * (1.0 + _PLUECKER_SLACK) + _MINOR_ERROR * hadamard
+    pluecker += _MINOR_ERROR * hadamard
     needed = needed_by(np.minimum(hadamard, pluecker))
     return [(i, j) for i, j in zip(*np.nonzero(needed)) if i <= j]  # the bounds are symmetric
 

@@ -328,6 +328,46 @@ def test_qubit_caps_exit_2(argv):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "argv, name, data, message",
+    [
+        (
+            ("analyze",),
+            "state.json",
+            {"qubits": 2, "amplitudes": [[1, 0]] * 5},
+            "expected 4 amplitudes, found 5",
+        ),
+        (
+            ("moment", "--projective"),
+            "point.json",
+            {"coords": [[1, 0]] * (4096 + 1)},
+            "a point is limited to 4096 coordinates, got 4097",
+        ),
+        (
+            ("embed",),
+            "factors.json",
+            {"factors": [[[1, 0], [0, 0]]] * 13},
+            "a state is limited to 12 qubits, got 13",
+        ),
+    ],
+)
+def test_oversized_inputs_are_refused_before_parsing(
+    tmp_path, capsys, monkeypatch, argv, name, data, message
+):
+    # A file that holds more values than its input can take exits 2 before
+    # a single [re, im] pair of it is read.
+    calls = []
+    monkeypatch.setattr("qtoric.states.parse_complex_pair", lambda *a: calls.append(a))
+    monkeypatch.setattr("qtoric.cli.parse_complex_pair", lambda *a: calls.append(a))
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qtoric: error: {message}\n"
+    assert calls == []
+
+
 # --- segre ----------------------------------------------------------------------
 
 
@@ -677,16 +717,19 @@ def test_output_flag_unwritable_path_exits_2(tmp_path):
         ("polytope", "cube", "-m", "2", "--tol", "0.5"),
         ("embed", "factors.json", "--tol", "0.5"),
         ("embed", "factors.json", "--format", "json"),
+        ("polytope", "cube", "-m", "2", "--tol", "5"),
     ],
 )
 def test_options_a_command_does_not_read_are_usage_errors(argv, capsys):
-    # Each subcommand takes only the options it reads.
+    # Each subcommand takes only the options it reads, and names them in its
+    # own usage line.
     with pytest.raises(SystemExit) as exit_:
         main(list(argv))
     assert exit_.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments" in captured.err
+    assert captured.err.startswith(f"usage: qtoric {argv[0]} [-h]")
 
 
 def test_nonpositive_tol_rejected():

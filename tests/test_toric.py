@@ -779,6 +779,18 @@ def _certificate_states(rng, m):
     rest on the GHZ and W images. A basis state's lower bound is zero, but
     every tile with a zero column is skipped. Uniform and graph states,
     whose columns all weigh the same, form every tile.
+
+    Parity phases put one phase a on the indices of even parity, another b
+    on index 3 and 0 on the rest, so every column is (a, 0) or (0, a) but
+    one, and Hadamard's bound is tight on every tile. Here |b| rounds below
+    |a| while |a b| rounds above |a a|, at m = 8-12 with and without FMA:
+    only ``_SLACK`` keeps the tiles of the lighter column.
+
+    The pivot pair is a near product whose column c is almost parallel to
+    the pivot p. Its largest minor, |P_cd| = 0.10003 (before scaling), is
+    above L = |P_pd| = 0.1, yet the Pluecker bound of its tile is within
+    0.08% of L: a bound shrunk by 0.1% skips the tile. At m = 2 it is the
+    first half of the three-qubit core.
     """
     size = 1 << m
     noise = lambda: _unit(rng.standard_normal(size) + 1j * rng.standard_normal(size))
@@ -789,6 +801,12 @@ def _certificate_states(rng, m):
     basis[rng.integers(size)] = 1.0
     scales = np.where(rng.random(size) < 0.5, 1e-200, 1.0)  # products underflow
     path = [bin(x & (x >> 1)).count("1") for x in range(size)]  # path graph state
+    even = np.array([bin(x).count("1") % 2 == 0 for x in range(size)])
+    phase, odd_one = np.exp(2j * np.pi * np.array([3, 93]) / 100)
+    parity = np.where(even, phase, 0).astype(complex)
+    parity[3] = odd_one
+    # Columns p = (1, 0), c = (0.9999, 8e-4), d = (-0.05, 0.1) and 0 of qubit 0.
+    core = [1, 0.9999, -0.05, 0, 0, 8e-4, 0.1, 0]
     return {
         "haar": random_state(rng, m).amplitudes,
         "ghz + noise": ghz.amplitudes + 1e-3 * noise(),
@@ -805,6 +823,8 @@ def _certificate_states(rng, m):
         "graph": (-1.0) ** np.array(path),
         "basis": basis,
         "basis + 1e-170": basis + 1e-170 * noise(),
+        "parity phases": parity,
+        "pivot pair": np.kron(core, np.ones(max(1, size >> 3)))[:size],
     }
 
 
@@ -929,19 +949,22 @@ def test_largest_minors_skips_tiles(monkeypatch):
 
 def _pluecker_bound(r0, r1):
     """The pairwise Pluecker bound of every minor of one flattening, with
-    the kernel's constants, and its computed |minors|.
+    the kernel's K, and its computed |minors|.
 
     The minor of columns c and d is bounded by the computed pivot minors of
     the heaviest column p: (|P_pd| n_c + |P_pc| n_d) / n_p (1 + slack) plus
-    K n_c n_d, the kernel's tile bound taken at single columns.
+    K n_c n_d, the kernel's tile bound taken at single columns. The kernel
+    compares that bound with L / (1 + _SLACK); the relative slack of 2^-40
+    here is the part of _SLACK that the bound's own rounding may take.
     """
+    slack = 2.0**-40
     norms = np.hypot(abs(r0), abs(r1))
     p = norms.argmax()
     pivot = abs(r0 * r1[p] - r0[p] * r1)  # minor (c, p), r0 first in each product
     d = np.multiply.outer(r0, r1)
     minors = abs(d - d.T)
     main = (np.multiply.outer(pivot, norms) + np.multiply.outer(norms, pivot)) / norms[p]
-    bound = main * (1 + toric._PLUECKER_SLACK) + toric._MINOR_ERROR * np.multiply.outer(norms, norms)
+    bound = main * (1 + slack) + toric._MINOR_ERROR * np.multiply.outer(norms, norms)
     return minors, bound
 
 
@@ -975,6 +998,53 @@ def test_largest_minors_pluecker_bound_holds_per_minor(m, offset, transform, see
         rows = unit.reshape(1 << position, 2, -1)
         minors, bound = _pluecker_bound(rows[:, 0].ravel(), rows[:, 1].ravel())
         assert (minors <= bound).all()
+
+
+def _scaled(x):
+    """The float x times 2^1074, which is an integer for every finite float."""
+    p, q = float(x).as_integer_ratio()
+    return p * ((1 << 1074) // q)
+
+
+@pytest.mark.bitexact
+@pytest.mark.parametrize("m", range(2, 7))
+def test_largest_minors_rounding_within_the_minor_error_premise(m):
+    # The premise of _MINOR_ERROR: each |minor| formed as the kernel forms
+    # it, r0 first in each product, is within e n_c n_d of the exact one,
+    # e = (sqrt(5) + 3) u. Floats are dyadic, so after scaling by 2^1074 the
+    # exact minor and norms are Python integers, which share no code with
+    # numpy. Underflow errs by an absolute amount instead, which is _TINY's
+    # case, so no kind here has entries far below the others. The largest
+    # errors seen are 0.72, 1.58, 1.62, 2.75 and 3.02u at m = 2-6.
+    rng = np.random.default_rng(70 + m)
+    product = random_product_state(rng, m)
+    noise = _unit(rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m))
+    kinds = [
+        random_state(rng, m).amplitudes,
+        product.amplitudes,
+        _unit(product.amplitudes) + 1e-9 * noise,
+        apply_local(product, [random_sl2(rng) for _ in range(m)]).amplitudes,
+        named_state(f"ghz{m}").amplitudes + 1e-3 * noise,
+    ]
+    bits = 100  # of the square roots below, far finer than u
+    e = (math.sqrt(5) + 3) * 2.0**-53
+    for unit in unit_vectors(np.stack(kinds))[0]:
+        for position in range(m):
+            rows = unit.reshape(1 << position, 2, -1)
+            r0, r1 = rows[:, 0].ravel(), rows[:, 1].ravel()
+            d = np.multiply.outer(r0, r1)
+            computed = abs(d - d.T)
+            x0 = [(_scaled(a.real), _scaled(a.imag)) for a in r0]
+            x1 = [(_scaled(a.real), _scaled(a.imag)) for a in r1]
+            weight = [p * p + q * q + v * v + w * w for (p, q), (v, w) in zip(x0, x1)]
+            for c, k in itertools.combinations(range(len(r0)), 2):
+                (a, b), (f, g) = x0[c], x1[k]
+                (h, i), (j, l) = x0[k], x1[c]
+                re, im = a * f - b * g - (h * j - i * l), a * g + b * f - (h * l + i * j)
+                exact = math.isqrt((re * re + im * im) << 2 * bits)
+                scale = math.isqrt((weight[c] * weight[k]) << 2 * bits)
+                error = abs((_scaled(computed[c, k]) << (1074 + bits)) - exact)
+                assert error / scale <= e, (c, k)
 
 
 @pytest.mark.bitexact
