@@ -22,11 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NonFiniteAmplitudeError,
-    WrongQubitCountError,
-    ZeroStateError,
-)
+from .errors import WrongQubitCountError
 from .measures import (
     _h_sum,
     _hyperdet3,
@@ -43,6 +39,7 @@ from .states import (
     MAX_QUBITS,
     MultiQubitState,
     QubitFactor,
+    _invalid_rows,
     _product_amplitudes,
     _state_rows,
     segre_embed,
@@ -183,18 +180,18 @@ def analyze_many(amplitudes, tol: float = DEFAULT_TOLERANCE) -> list[AnalysisRep
     """
     batch, _ = _state_rows(amplitudes, "analysis")
     _check_tolerance(tol)
-    if not np.isfinite(batch).all():
-        raise NonFiniteAmplitudeError("amplitudes contain NaN or infinite entries")
-    if not batch.any(axis=1).all():
-        raise ZeroStateError("the zero vector does not define a state")
+    for error in _invalid_rows(batch).values():
+        raise error
     return _reports(unit_vectors(batch)[0], tol)
 
 
-def _reports(unit: np.ndarray, tol: float) -> list[AnalysisReport]:
+def _reports(unit: np.ndarray, tol: float, with_measures: bool = True) -> list[AnalysisReport]:
     """The report of each row of an (N, 2^m) array of unit vectors, m >= 1.
 
     Row by row: a row gets the same bits alone as in any batch. A single
     qubit has no 2x2 minor, so its residual is 0 and reconstruction decides.
+    Without ``with_measures`` every report's measures are empty, for a
+    caller that reads only the verdict.
     """
     m = unit.shape[1].bit_length() - 1
     residuals = largest_minors(unit) if m > 1 else np.zeros(len(unit))
@@ -206,7 +203,9 @@ def _reports(unit: np.ndarray, tol: float) -> list[AnalysisReport]:
     rebuilt = _reconstructs(rows, _product_amplitudes(factors), tol).tolist()
     kept = {i: k for k, i in enumerate(passed.tolist()) if rebuilt[k]}  # row -> factored row
 
-    measures = {name: values.tolist() for name, values in _measures_many(unit).items()}
+    measures = {}
+    if with_measures:
+        measures = {name: values.tolist() for name, values in _measures_many(unit).items()}
     a0, a1 = factors[..., 0].tolist(), factors[..., 1].tolist()
     return [
         AnalysisReport(

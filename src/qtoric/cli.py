@@ -21,6 +21,7 @@ import contextlib
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -41,6 +42,7 @@ from .moment import BoxPolytope, in_polytope, moment_projective
 from .states import (
     MultiQubitState,
     QubitFactor,
+    _invalid_rows,
     check_qubit_count,
     named_state,
     parse_complex_pair,
@@ -115,7 +117,9 @@ def _load_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise QToricError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # A JSONDecodeError, bytes that are not UTF-8, or an integer longer
+        # than int()'s digit limit.
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -156,16 +160,16 @@ _ROWS = "@rows@"
 def _emit_json(args, payload, key=None, rows=None) -> None:
     """Write ``json.dumps(payload, indent=2)``.
 
-    With ``rows``, the list ``payload[key]`` of the top level is written from
-    those pieces of pre-rendered row text (an iterable, consumed here),
-    separators included.
+    With ``rows``, the list ``payload[key]`` of the top level, or with no
+    ``key`` the top-level list itself, is written from those pieces of
+    pre-rendered row text (an iterable, consumed here), separators included.
     """
     if rows is None:
         _emit(args, json.dumps(payload, indent=2))
         return
-    text = json.dumps({**payload, key: [_ROWS]}, indent=2)
-    head, tail = text.split(f'    "{_ROWS}"')
-    _emit(args, itertools.chain([head], rows, [tail]))
+    text = json.dumps([_ROWS] if key is None else {**payload, key: [_ROWS]}, indent=2)
+    head, tail = text.split(f'"{_ROWS}"')
+    _emit(args, itertools.chain([head.rstrip(" ")], rows, [tail]))
 
 
 # ---------------------------------------------------------------------------
@@ -216,47 +220,119 @@ def _cmd_analyze(args) -> int:
 
 def _analyze_directory(args, target: str) -> int:
     """One report per state file; a file that fails gets an error record instead."""
-    files = sorted(Path(target).glob("*.json"))
-    if not files:
+    # Sorted as strings, which on POSIX is the order of the Path objects.
+    paths = sorted(map(str, Path(target).glob("*.json")))
+    if not paths:
         raise QToricError(f"no .json state files in {target}")
 
-    # Every file is read and validated first; the good ones are analyzed in
-    # one batch per qubit count. A file that fails at either step is carried
-    # on as its error message.
-    outcomes: list = [None] * len(files)
+    # Every file is read and its schema checked first. Then the amplitudes
+    # of each qubit count are stacked once: a row that is not finite and
+    # nonzero gets its error, and the rest are analyzed in one batch. A file
+    # that fails at any step is carried on as its error message.
+    outcomes: list = [None] * len(paths)
     groups: dict[int, list] = {}
-    for k, path in enumerate(files):
+    for k, path in enumerate(paths):
         try:
-            state = MultiQubitState(*read_state_fields(_load_json(str(path))))
+            m, amplitudes = read_state_fields(_load_json(path))
         except QToricError as exc:
             outcomes[k] = str(exc)
         else:
-            groups.setdefault(state.num_qubits, []).append((k, state.amplitudes))
+            groups.setdefault(m, []).append((k, amplitudes))
     for members in groups.values():
         positions, rows = zip(*members)
+        batch = np.stack(rows)
+        invalid = _invalid_rows(batch)
+        for i, error in invalid.items():
+            outcomes[positions[i]] = str(error)
+        valid = [i for i in range(len(positions)) if i not in invalid]
         try:
-            results = analyze_many(np.stack(rows), args.tol)
+            results = analyze_many(batch[valid], args.tol) if valid else []
         except QToricError as exc:
-            results = [str(exc)] * len(positions)
-        for k, result in zip(positions, results):
-            outcomes[k] = result
-    failed = sum(isinstance(o, str) for o in outcomes)
+            results = [str(exc)] * len(valid)
+        for i, result in zip(valid, results):
+            outcomes[positions[i]] = result
+    names = [os.path.basename(path) for path in paths]
     if args.format == "json":
-        records = [
-            {"path": f.name, **({"error": o} if isinstance(o, str) else o.to_dict())}
-            for f, o in zip(files, outcomes)
-        ]
-        _emit_json(args, records)
+        _emit_json(args, None, rows=_rendered_records(names, outcomes))
     else:
         blocks = [
-            f"== {f.name}\n" + (f"error: {o}" if isinstance(o, str) else _report_text(o))
-            for f, o in zip(files, outcomes)
+            f"== {name}\n" + (f"error: {o}" if isinstance(o, str) else _report_text(o))
+            for name, o in zip(names, outcomes)
         ]
         _emit(args, "\n\n".join(blocks))
+    failed = sum(isinstance(o, str) for o in outcomes)
     if failed:
-        print(f"qtoric: error: {failed} of {len(files)} files failed", file=sys.stderr)
+        print(f"qtoric: error: {failed} of {len(paths)} files failed", file=sys.stderr)
         return 2
     return 0
+
+
+_json_str = json.encoder.encode_basestring_ascii  # how json.dumps writes a str
+
+
+def _rendered_records(names, outcomes):
+    """The records of ``analyze DIR``, ``{"path": name, **report.to_dict()}``
+    or ``{"path": name, "error": message}``, joined as ``json.dumps(indent=2)``
+    writes them in its top-level list, as one piece.
+
+    Each record fills the template of :func:`_record_template` for its qubit
+    count and verdict, or for an error, made from the first such record.
+    """
+    templates: dict = {}
+    pieces = []
+    for name, outcome in zip(names, outcomes):
+        if isinstance(outcome, str):
+            key, values = None, (_json_str(outcome),)
+        else:
+            key, values = (outcome.num_qubits, outcome.separable), _report_numbers(outcome)
+        if key not in templates:
+            templates[key] = _record_template(outcome)
+        pieces.append(templates[key] % (_json_str(name), *values))
+    yield ",\n".join(pieces)
+
+
+def _record_template(outcome) -> str:
+    """A record of :func:`_rendered_records` as a %-template, as
+    ``json.dumps(indent=2)`` nests it in a list of the top level.
+
+    Dumped from the error record or from ``report.to_dict()``, with the path
+    and the message as ``%s`` and every float as ``%r``, so the records
+    written through it cannot drift from the schema. ``repr`` is how ``json``
+    writes a float; the reports of finite, nonzero states hold finite floats
+    only.
+    """
+    if isinstance(outcome, str):
+        fields = {"error": "%s"}
+    else:
+        fields = _float_placeholders(outcome.to_dict())
+    text = json.dumps({"path": "%s", **fields}, indent=2)
+    text = text.replace('"%s"', "%s").replace('"%r"', "%r")
+    return "  " + text.replace("\n", "\n  ")
+
+
+def _float_placeholders(value):
+    """``value``, a tree of dicts and lists, with each float replaced by ``"%r"``."""
+    if isinstance(value, float):
+        return "%r"
+    if isinstance(value, list):
+        return [_float_placeholders(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _float_placeholders(v) for k, v in value.items()}
+    return value
+
+
+def _report_numbers(report: AnalysisReport) -> list[float]:
+    """The floats of ``report.to_dict()`` in the order it holds them, read
+    from the report without building the dict."""
+    numbers = [report.max_residual]
+    if report.factors is not None:
+        for f in report.factors:
+            numbers += (f.a0.real, f.a0.imag, f.a1.real, f.a1.imag)
+        numbers += report.moment_image.tolist()
+    for value in report.measures.values():
+        numbers += (value.real, value.imag) if isinstance(value, complex) else (float(value),)
+    numbers.append(report.tolerance)
+    return numbers
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +432,8 @@ def _cmd_moment(args) -> int:
             raise _CliError("give either a point file or --state, not both", code=1)
         image = moment_projective(point_from_dict(_load_json(path)))
     else:
-        image = _reports(_resolve_state(args)._unit[None], args.tol)[0].moment_image
+        unit = _resolve_state(args)._unit[None]
+        image = _reports(unit, args.tol, with_measures=False)[0].moment_image
         if image is None:
             raise _CliError("state is not a product; moment map undefined", code=3)
     box = BoxPolytope.moment_box(len(image))

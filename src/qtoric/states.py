@@ -14,6 +14,7 @@ function of its inputs; they are safe to share between threads.
 from __future__ import annotations
 
 import cmath
+import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,6 +28,7 @@ from .errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
     NonFiniteAmplitudeError,
+    QToricError,
     QubitLimitError,
     SchemaError,
     UnknownNameError,
@@ -87,13 +89,32 @@ def _state_rows(amplitudes, what: str) -> tuple[np.ndarray, int]:
 
 
 def _complex_vector(values, *, what: str) -> np.ndarray:
-    """Copy ``values`` into a finite, 1-d complex128 array."""
+    """Copy ``values`` into a 1-d complex128 array."""
     arr = np.array(values, dtype=complex, copy=True)
     if arr.ndim != 1:
         raise LengthMismatchError(f"{what} must be a flat sequence, got shape {arr.shape}")
-    if not (np.isfinite(arr.real).all() and np.isfinite(arr.imag).all()):
-        raise NonFiniteAmplitudeError(f"{what} contain NaN or infinite entries")
     return arr
+
+
+def _invalid_rows(
+    rows: np.ndarray, what: str = "amplitudes", of: str = "a state"
+) -> dict[int, QToricError]:
+    """The error that refuses each row of a 2-d complex array as the ``what``
+    of ``of``, by row index: a row with a NaN or infinite entry, or else a
+    zero row. Finite, nonzero rows are absent.
+
+    The one rule behind :class:`MultiQubitState`, :class:`ProjectivePoint`,
+    :func:`~qtoric.analyzer.analyze_many` and ``qtoric analyze DIR``.
+    """
+    finite = np.isfinite(rows).all(axis=1).tolist()
+    nonzero = rows.any(axis=1).tolist()
+    return {
+        i: NonFiniteAmplitudeError(f"{what} contain NaN or infinite entries")
+        if not f
+        else ZeroStateError(f"the zero vector does not define {of}")
+        for i, (f, n) in enumerate(zip(finite, nonzero))
+        if not (f and n)
+    }
 
 
 def _values_key(values: np.ndarray) -> bytes:
@@ -121,8 +142,8 @@ class MultiQubitState:
         expected = 1 << int(self.num_qubits)
         if amps.size != expected:
             raise LengthMismatchError(f"expected {expected} amplitudes, found {amps.size}")
-        if not amps.any():
-            raise ZeroStateError("the zero vector does not define a state")
+        for error in _invalid_rows(amps[None]).values():
+            raise error
         amps.setflags(write=False)
         object.__setattr__(self, "num_qubits", int(self.num_qubits))
         object.__setattr__(self, "amplitudes", amps)
@@ -233,8 +254,8 @@ class ProjectivePoint:
         coords = _complex_vector(self.coords, what="coordinates")
         if coords.size < 2:
             raise LengthMismatchError("a projective point needs at least 2 coordinates")
-        if not coords.any():
-            raise ZeroStateError("the zero vector does not define a projective point")
+        for error in _invalid_rows(coords[None], "coordinates", "a projective point").values():
+            raise error
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
@@ -365,7 +386,34 @@ def parse_complex_pair(value, field: str) -> complex:
     )
     if not ok:
         raise SchemaError(f'"{field}" must be a [re, im] number pair')
-    return complex(value[0], value[1])
+    try:
+        return complex(value[0], value[1])
+    except OverflowError:  # an integer past the float range
+        raise NonFiniteAmplitudeError(f'"{field}" holds a number beyond the float range') from None
+
+
+def _complex_pairs(raw: list, field: str) -> np.ndarray:
+    """The list ``raw`` of ``[re, im]`` pairs as a 1-d complex array, with the
+    bits that :func:`parse_complex_pair` gives each pair.
+
+    A list of JSON number pairs is checked by type in a few passes over it and
+    converted by one ``np.array`` call. Anything else, such as tuples or numpy
+    floats from a library caller, or an integer past the float range, goes
+    through :func:`parse_complex_pair` pair by pair, which names the first
+    pair it refuses as ``field[i]``.
+    """
+    exact = (
+        set(map(type, raw)) <= {list}
+        and set(map(len, raw)) <= {2}
+        and set(map(type, itertools.chain.from_iterable(raw))) <= {int, float}
+    )
+    if exact:
+        try:
+            return np.array(raw, dtype=float).reshape(-1, 2).view(complex).ravel()
+        except OverflowError:  # named by the pair loop below
+            pass
+    values = [parse_complex_pair(v, f"{field}[{i}]") for i, v in enumerate(raw)]
+    return np.array(values, dtype=complex)
 
 
 def state_to_dict(state: MultiQubitState) -> dict:
@@ -375,11 +423,12 @@ def state_to_dict(state: MultiQubitState) -> dict:
     }
 
 
-def read_state_fields(data) -> tuple[int, list[complex]]:
-    """The qubit count and the raw amplitudes of a state JSON object.
+def read_state_fields(data) -> tuple[int, np.ndarray]:
+    """The qubit count and the raw amplitudes, a complex array, of a state JSON object.
 
-    Checks every field of the schema, ``normalize`` included; the amplitudes
-    themselves are validated by :class:`MultiQubitState`.
+    Checks every field of the schema, ``normalize`` included; the amplitude
+    values themselves (finite, not all zero) are validated by
+    :class:`MultiQubitState`, or by ``qtoric analyze DIR`` for a whole group.
     """
     if not isinstance(data, dict):
         raise SchemaError("state JSON must be an object")
@@ -396,7 +445,7 @@ def read_state_fields(data) -> tuple[int, list[complex]]:
         raise SchemaError('"amplitudes" must be an array of [re, im] pairs')
     if len(raw) != 1 << qubits:  # before any pair is parsed
         raise LengthMismatchError(f"expected {1 << qubits} amplitudes, found {len(raw)}")
-    amps = [parse_complex_pair(v, f"amplitudes[{i}]") for i, v in enumerate(raw)]
+    amps = _complex_pairs(raw, "amplitudes")
     if not isinstance(data.get("normalize", True), bool):
         raise SchemaError('"normalize" must be a boolean')
     return qubits, amps
@@ -421,5 +470,4 @@ def point_from_dict(data) -> ProjectivePoint:
         raise LengthMismatchError(
             f"a point is limited to {1 << MAX_QUBITS} coordinates, got {len(raw)}"
         )
-    coords = [parse_complex_pair(v, f"coords[{i}]") for i, v in enumerate(raw)]
-    return ProjectivePoint(np.array(coords, dtype=complex))
+    return ProjectivePoint(_complex_pairs(raw, "coords"))

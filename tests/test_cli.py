@@ -1,5 +1,7 @@
+import errno
 import itertools
 import json
+import os
 import subprocess
 import sys
 
@@ -20,6 +22,9 @@ from qtoric import (
     state_from_dict,
     state_to_dict,
 )
+import qtoric.analyzer
+import qtoric.cli
+import qtoric.states
 from qtoric.cli import _fmt, main
 from helpers import child_env, random_product_state, random_state
 
@@ -303,6 +308,96 @@ def test_one_file_gets_the_same_bits_from_every_command(tmp_path, capsys):
         assert moment.get("moment_image") == record["moment_image"], path
 
 
+def test_analyze_directory_is_the_per_file_route_as_json_dumps(tmp_path, capsys):
+    # The records of a directory are written from templates. They must be
+    # the bytes json.dumps(indent=2) writes, both of the output itself and
+    # of the per-file reports and errors, which run through json.dumps; and
+    # the text output, the exit code and stderr must be those of the parent
+    # route: the per-file outputs in name order, and a count of the failures.
+    rng = np.random.default_rng(23)
+    good = {}
+    for m in range(2, 10):
+        good[f"e{m}.json"] = MultiQubitState(m, random_state(rng, m).amplitudes * 10.0 ** (300 * (m % 3 - 1)))
+        good[f"p{m}.json"] = random_product_state(rng, m)
+    for name, state in good.items():
+        (tmp_path / name).write_text(json.dumps(state_to_dict(state)))
+    # Names that json escapes, and amplitudes at the edges of the float
+    # range: signed zeros, subnormals, 1e300, and integers past 2^53 and
+    # 2^64, which json reads as Python ints.
+    special = [[2**53 + 1, -0.0], [5e-324, 0], [-0.0, 1e300], [2**64 + 1, -(2**64 + 3)]]
+    (tmp_path / 'q"uote.json').write_text(json.dumps({"qubits": 2, "amplitudes": special}))
+    (tmp_path / "back\\slash.json").write_text(json.dumps({"qubits": 2, "amplitudes": special[::-1]}))
+    product = [[0, 0], [2**64 + 1, 0], [-0.0, 0], [5e-324, 0]]  # |0> (x) (0, 2^64 + 1), with 5e-324 on |11>
+    (tmp_path / "n\u00f6n-\u00e4scii \u2713.json").write_text(
+        json.dumps({"qubits": 2, "amplitudes": product, "normalize": False}), encoding="utf-8"
+    )
+    # Every kind of error record.
+    errors = {
+        "x_not_json.json": "{qubits",
+        "x_not_utf8.json": b'{"qubits": 2, "note": "\xff"}',
+        "x_not_object.json": [1, 2],
+        "x_no_qubits.json": {"amplitudes": []},
+        "x_bool_qubits.json": {"qubits": True, "amplitudes": [[1, 0], [0, 0]]},
+        "x_zero_qubits.json": {"qubits": 0, "amplitudes": []},
+        "x_13_qubits.json": {"qubits": 13, "amplitudes": []},
+        "x_no_amplitudes.json": {"qubits": 2},
+        "x_amplitudes_not_list.json": {"qubits": 2, "amplitudes": {"0": [1, 0]}},
+        "x_short.json": {"qubits": 3, "amplitudes": [[1, 0]] * 7},
+        "x_bool.json": {"qubits": 2, "amplitudes": [[1, 0], [0, True], [0, 0], [0, 0]]},
+        "x_string.json": {"qubits": 2, "amplitudes": [[1, 0], [0, 0], ["0", 0], [0, 0]]},
+        "x_triple.json": {"qubits": 2, "amplitudes": [[1, 0, 0], [0, 0], [0, 0], [0, 0]]},
+        "x_huge.json": {"qubits": 2, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, -(10**400)]]},
+        "x_nan.json": '{"qubits": 3, "amplitudes": [' + ", ".join(["[1, 0]"] * 7) + ", [NaN, 0]]}",
+        "x_inf.json": '{"qubits": 2, "amplitudes": [[0, -Infinity], [1, 0], [0, 0], [0, 0]]}',
+        "x_zero.json": {"qubits": 4, "amplitudes": [[0, -0.0]] * 16},
+        "x_normalize.json": {"qubits": 2, "amplitudes": [[1, 0]] * 4, "normalize": "yes"},
+        "x_one_qubit.json": {"qubits": 1, "amplitudes": [[1, 0], [0, 1]]},
+        "x_one_qubit_zero.json": {"qubits": 1, "amplitudes": [[0, 0], [0, 0]]},
+    }
+    for name, content in errors.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
+    (tmp_path / "x_directory.json").mkdir()
+    names = sorted(p.name for p in tmp_path.iterdir())
+
+    records, blocks = [], []
+    for name in names:
+        path = str(tmp_path / name)
+        if name == "x_directory.json":  # analyze PATH would read it as a directory
+            message = f"cannot read {path}: {os.strerror(errno.EISDIR)}"
+            records.append({"path": name, "error": message})
+            blocks.append(f"== {name}\nerror: {message}\n")
+            continue
+        code = main(["analyze", path, "--format", "json"])
+        single = capsys.readouterr()
+        assert main(["analyze", path]) == code
+        text = capsys.readouterr()
+        if code == 0:
+            records.append({"path": name, **json.loads(single.out)})
+            blocks.append(f"== {name}\n{text.out}")
+        else:
+            assert code == 2 and single.out == "" and single.err.startswith("qtoric: error: ")
+            message = single.err[len("qtoric: error: ") : -1]
+            records.append({"path": name, "error": message})
+            blocks.append(f"== {name}\nerror: {message}\n")
+    failed = sum("error" in r for r in records)
+    assert failed == len(errors) + 1 and len(records) - failed == len(good) + 3
+    assert {r["qubits"] for r in records if "error" not in r} == set(range(2, 10))
+    assert {r["separable"] for r in records if "error" not in r} == {True, False}
+    assert any(isinstance(r["measures"].get("H"), list) for r in records if "error" not in r)
+
+    assert main(["analyze", str(tmp_path), "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert out == json.dumps(records, indent=2) + "\n"
+    assert err == f"qtoric: error: {failed} of {len(names)} files failed\n"
+    assert main(["analyze", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("\n".join(blocks), err)
+
+
 def test_analyze_directory_all_good_quiet(tmp_path):
     (tmp_path / "bell.json").write_text(json.dumps(state_to_dict(named_state("bell"))))
     result = run_cli("analyze", str(tmp_path))
@@ -355,10 +450,24 @@ def test_oversized_inputs_are_refused_before_parsing(
     tmp_path, capsys, monkeypatch, argv, name, data, message
 ):
     # A file that holds more values than its input can take exits 2 before
-    # a single [re, im] pair of it is read.
+    # a single [re, im] pair of it is converted, pair by pair or in bulk.
+    # The same file one value shorter fits its input and does reach a
+    # conversion, so the count would see one.
     calls = []
-    monkeypatch.setattr("qtoric.states.parse_complex_pair", lambda *a: calls.append(a))
-    monkeypatch.setattr("qtoric.cli.parse_complex_pair", lambda *a: calls.append(a))
+
+    def counted(convert):
+        def wrapper(*args):
+            calls.append(args[1])
+            return convert(*args)
+
+        return wrapper
+
+    for module, attribute in (
+        (qtoric.states, "parse_complex_pair"),
+        (qtoric.states, "_complex_pairs"),
+        (qtoric.cli, "parse_complex_pair"),
+    ):
+        monkeypatch.setattr(module, attribute, counted(getattr(module, attribute)))
     path = tmp_path / name
     path.write_text(json.dumps(data))
     assert main([*argv, str(path)]) == 2
@@ -366,6 +475,62 @@ def test_oversized_inputs_are_refused_before_parsing(
     assert captured.out == ""
     assert captured.err == f"qtoric: error: {message}\n"
     assert calls == []
+
+    path.write_text(json.dumps({k: v[:-1] if isinstance(v, list) else v for k, v in data.items()}))
+    assert main([*argv, str(path)]) == 0
+    capsys.readouterr()
+    assert calls
+
+
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (
+            ("analyze",),
+            {"qubits": 1, "amplitudes": [[1, 0], [0, 10**400]]},
+            '"amplitudes[1]" holds a number beyond the float range',
+        ),
+        (
+            ("moment", "--projective"),
+            {"coords": [[-(10**400), 0], [1, 0]]},
+            '"coords[0]" holds a number beyond the float range',
+        ),
+        (
+            ("embed",),
+            {"factors": [[[1, 0], [0, 0]], [[1, 0], [10**400, 0]]]},
+            '"factors[1][1]" holds a number beyond the float range',
+        ),
+    ],
+)
+def test_integers_past_the_float_range_are_input_errors(tmp_path, capsys, argv, data, message):
+    # JSON integers have no size limit; one that no float holds is refused
+    # as an input error naming its field, not raised as an OverflowError.
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([*argv, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"qtoric: error: {message}\n")
+
+
+def test_unreadable_files_do_not_abort_a_directory(tmp_path, capsys):
+    # A file that json cannot load, or whose numbers no float holds, gets an
+    # error record; every other file of the directory is still analyzed.
+    (tmp_path / "a_bell.json").write_text(json.dumps(state_to_dict(named_state("bell"))))
+    (tmp_path / "b_huge.json").write_text(
+        json.dumps({"qubits": 2, "amplitudes": [[1, 0], [0, 0], [0, 0], [10**400, 0]]})
+    )
+    (tmp_path / "c_digits.json").write_text(
+        '{"qubits": 1, "amplitudes": [[1, 0], [' + "9" * 5000 + ", 0]]}"
+    )
+    (tmp_path / "d_latin1.json").write_bytes(b'{"qubits": 1, "note": "\xe9"}')
+    (tmp_path / "e_ghz3.json").write_text(json.dumps(state_to_dict(named_state("ghz3"))))
+    assert main(["analyze", str(tmp_path), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "qtoric: error: 3 of 5 files failed\n"
+    records = json.loads(captured.out)
+    assert [sorted(r) == ["error", "path"] for r in records] == [False, True, True, True, False]
+    assert records[1]["error"] == '"amplitudes[3]" holds a number beyond the float range'
+    assert records[3]["error"].startswith(f"{tmp_path / 'd_latin1.json'} is not valid JSON: ")
+    assert [r.get("separable") for r in records] == [False, None, None, None, False]
 
 
 # --- segre ----------------------------------------------------------------------
@@ -506,6 +671,23 @@ def test_moment_takes_the_analyze_verdict(tmp_path, capsys):
             printed = json.loads(capsys.readouterr().out)["moment_image"]
             want = moment_product(extract_factors(state_from_dict(data), 1e-10))
             assert printed == want.tolist(), (scale, pair)
+
+
+def test_moment_computes_no_measures(monkeypatch, capsys):
+    # moment reads only the verdict and the image of a report, so it leaves
+    # the measures out; analyze of the same state does compute them.
+    calls = []
+    measures_many = qtoric.analyzer._measures_many
+    monkeypatch.setattr(
+        qtoric.analyzer, "_measures_many", lambda unit: calls.append(unit) or measures_many(unit)
+    )
+    for name in ("0110", "bell", "1"):
+        code = main(["moment", "--state", name, "--format", "json"])
+        assert code == (3 if name == "bell" else 0)
+    assert calls == []
+    assert main(["analyze", "--state", "0110"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
 
 
 def test_moment_projective_point(tmp_path):

@@ -308,6 +308,58 @@ def test_state_json_schema_errors():
         state_from_dict({"qubits": 3, "amplitudes": [[1.0, 0.0]] * 7})
 
 
+def _pairwise_amplitudes(raw):
+    # The reader before the bulk conversion: one parse_complex_pair per pair.
+    pairs = [qtoric.states.parse_complex_pair(v, f"amplitudes[{i}]") for i, v in enumerate(raw)]
+    return np.array(pairs, dtype=complex)
+
+
+def test_read_state_fields_gives_the_pair_readers_bits():
+    # The bulk conversion of a list of number pairs gives every bit that
+    # parse_complex_pair gives pair by pair, signed zeros included; so does a
+    # list the bulk check sends back to the pair loop, such as tuples and
+    # numpy floats, which isinstance(..., float) accepts. A list the old loop
+    # refused is refused with its message, naming the same first pair.
+    from qtoric import QToricError
+    from qtoric.states import read_state_fields
+
+    specials = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e300, -1.7976931348623157e308]
+    big = [2**53 + 1, -(2**53 + 3), 2**63 + 2**10 + 1, 2**64 + 1, -(2**64 + 3), 10**308, 3**600]
+    rng = np.random.default_rng(17)
+    for m in range(1, 7):
+        numbers = rng.standard_normal(2 << m).tolist()
+        picks = rng.integers(0, len(specials + big), size=2 << m)
+        for k in range(0, 2 << m, 3):
+            numbers[k] = (specials + big)[picks[k]]
+        pairs = [numbers[i : i + 2] for i in range(0, len(numbers), 2)]
+        variants = [
+            pairs,
+            [tuple(p) for p in pairs],
+            [[np.float64(c) if isinstance(c, float) else c for c in p] for p in pairs],
+            [p if i % 2 else tuple(p) for i, p in enumerate(pairs)],
+        ]
+        for raw in variants:
+            qubits, got = read_state_fields({"qubits": m, "amplitudes": raw})
+            want = _pairwise_amplitudes(raw)
+            assert qubits == m and got.dtype == want.dtype and got.shape == want.shape
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), raw
+
+    def refusal(read, raw):
+        with pytest.raises(QToricError) as caught:
+            read(raw)
+        return type(caught.value), str(caught.value)
+
+    bad_pairs = [[True, 0], [0, False], ["1", 0], [None, 0], [1], [1, 2, 3], 1.0, {"re": 1},
+                 [[1], 0], (1, "2"), [np.int64(1), 0], [10**400, 0], [0, -(10**400)]]
+    for bad in bad_pairs:
+        for at in (0, 3):
+            raw = [[1.0, 0.0]] * 4
+            raw[at] = bad
+            got = refusal(lambda raw: read_state_fields({"qubits": 2, "amplitudes": raw}), raw)
+            assert got == refusal(_pairwise_amplitudes, raw), bad
+            assert f'"amplitudes[{at}]"' in got[1]
+
+
 def test_point_from_dict():
     p = point_from_dict({"coords": [[1.0, 0.0], [0.0, 1.0]]})
     assert np.array_equal(p.coords, [1, 1j])
