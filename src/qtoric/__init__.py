@@ -5,169 +5,117 @@ polytopes with Delzant checks and normal fans, the Segre binomial relations
 as a separability certificate, and the standard small-system entanglement
 invariants (concurrence, three-tangle, m-tangle, four-qubit H and I1 with an
 independent epsilon-contraction four-tangle).
-"""
 
-from .analyzer import AnalysisReport, DEFAULT_TOLERANCE, analyze, analyze_many, extract_factors
-from .errors import (
-    DegenerateIntervalError,
-    DimensionMismatchError,
-    EmptyFactorListError,
-    IndexOutOfRangeError,
-    LengthMismatchError,
-    NonFiniteAmplitudeError,
-    OddQubitCountError,
-    QToricError,
-    QubitLimitError,
-    RedundantVertexError,
-    SchemaError,
-    UnknownNameError,
-    UnsupportedPolytopeError,
-    WrongQubitCountError,
-    ZeroStateError,
-)
-from .measures import (
-    FourQubitVectors,
-    G,
-    J,
-    Tau4IdentityReport,
-    bilinear_g,
-    check_tau4_identities,
-    concurrence,
-    four_qubit_vectors,
-    invariant_H,
-    invariant_I1,
-    m_tangle,
-    spin_flip,
-    tau4_epsilon_oracle,
-    three_tangle,
-)
-from .moment import (
-    BoxPolytope,
-    fixed_point_images,
-    in_polytope,
-    moment_product,
-    moment_projective,
-    s1_moment_disk,
-)
-from .states import (
-    MAX_QUBITS,
-    MultiQubitState,
-    ProjectivePoint,
-    QubitFactor,
-    bits_to_index,
-    conjugate_state,
-    index_bits,
-    inner_product,
-    make_state,
-    named_state,
-    point_from_dict,
-    point_to_dict,
-    segre_embed,
-    state_from_dict,
-    state_to_dict,
-)
-from .toric import (
-    BinomialRelation,
-    Cone,
-    DelzantFailure,
-    DelzantVerdict,
-    ExponentSet,
-    Fan,
-    LatticePolytope,
-    MAX_RELATION_QUBITS,
-    cube,
-    delzant_check,
-    lattice_points,
-    max_segre_residual,
-    normal_fan_box,
-    relation_residual,
-    relation_table,
-    segre_relations,
-    unit_cube_exponents,
-    verify_beta_balance,
-)
+``import qtoric`` loads no submodule and no numpy: the first access of a
+public name or a submodule imports them all and binds every name of
+``__all__`` here.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # states
-    "MAX_QUBITS",
-    "MultiQubitState",
-    "QubitFactor",
-    "ProjectivePoint",
-    "make_state",
-    "conjugate_state",
-    "segre_embed",
-    "inner_product",
-    "named_state",
-    "index_bits",
-    "bits_to_index",
-    "state_to_dict",
-    "state_from_dict",
-    "point_to_dict",
-    "point_from_dict",
-    # moment
-    "BoxPolytope",
-    "moment_projective",
-    "moment_product",
-    "fixed_point_images",
-    "s1_moment_disk",
-    "in_polytope",
-    # toric
-    "LatticePolytope",
-    "ExponentSet",
-    "BinomialRelation",
-    "Cone",
-    "Fan",
-    "DelzantFailure",
-    "DelzantVerdict",
-    "cube",
-    "lattice_points",
-    "unit_cube_exponents",
-    "delzant_check",
-    "normal_fan_box",
-    "MAX_RELATION_QUBITS",
-    "relation_table",
-    "segre_relations",
-    "relation_residual",
-    "max_segre_residual",
-    "verify_beta_balance",
-    # measures
-    "J",
-    "G",
-    "FourQubitVectors",
-    "Tau4IdentityReport",
-    "spin_flip",
-    "concurrence",
-    "m_tangle",
-    "three_tangle",
-    "invariant_H",
-    "bilinear_g",
-    "invariant_I1",
-    "four_qubit_vectors",
-    "tau4_epsilon_oracle",
-    "check_tau4_identities",
-    # analyzer
-    "AnalysisReport",
-    "DEFAULT_TOLERANCE",
-    "analyze",
-    "analyze_many",
-    "extract_factors",
-    # errors
-    "QToricError",
-    "LengthMismatchError",
-    "ZeroStateError",
-    "NonFiniteAmplitudeError",
-    "DimensionMismatchError",
-    "EmptyFactorListError",
-    "UnknownNameError",
-    "WrongQubitCountError",
-    "OddQubitCountError",
-    "QubitLimitError",
-    "UnsupportedPolytopeError",
-    "RedundantVertexError",
-    "DegenerateIntervalError",
-    "IndexOutOfRangeError",
-    "SchemaError",
-]
+# Each public name, under the submodule that defines it.
+_EXPORTS = {
+    "states": (
+        "MAX_QUBITS",
+        "MultiQubitState",
+        "QubitFactor",
+        "ProjectivePoint",
+        "make_state",
+        "conjugate_state",
+        "segre_embed",
+        "inner_product",
+        "named_state",
+        "index_bits",
+        "bits_to_index",
+        "state_to_dict",
+        "state_from_dict",
+        "point_to_dict",
+        "point_from_dict",
+    ),
+    "moment": (
+        "BoxPolytope",
+        "moment_projective",
+        "moment_product",
+        "fixed_point_images",
+        "s1_moment_disk",
+        "in_polytope",
+    ),
+    "toric": (
+        "LatticePolytope",
+        "ExponentSet",
+        "BinomialRelation",
+        "Cone",
+        "Fan",
+        "DelzantFailure",
+        "DelzantVerdict",
+        "cube",
+        "lattice_points",
+        "unit_cube_exponents",
+        "delzant_check",
+        "normal_fan_box",
+        "MAX_RELATION_QUBITS",
+        "relation_table",
+        "segre_relations",
+        "relation_residual",
+        "max_segre_residual",
+        "verify_beta_balance",
+    ),
+    "measures": (
+        "J",
+        "G",
+        "FourQubitVectors",
+        "Tau4IdentityReport",
+        "spin_flip",
+        "concurrence",
+        "m_tangle",
+        "three_tangle",
+        "invariant_H",
+        "bilinear_g",
+        "invariant_I1",
+        "four_qubit_vectors",
+        "tau4_epsilon_oracle",
+        "check_tau4_identities",
+    ),
+    "analyzer": ("AnalysisReport", "DEFAULT_TOLERANCE", "analyze", "analyze_many", "extract_factors"),
+    "errors": (
+        "QToricError",
+        "LengthMismatchError",
+        "ZeroStateError",
+        "NonFiniteAmplitudeError",
+        "DimensionMismatchError",
+        "EmptyFactorListError",
+        "UnknownNameError",
+        "WrongQubitCountError",
+        "OddQubitCountError",
+        "QubitLimitError",
+        "UnsupportedPolytopeError",
+        "RedundantVertexError",
+        "DegenerateIntervalError",
+        "IndexOutOfRangeError",
+        "SchemaError",
+    ),
+}
+
+__all__ = ["__version__", *(name for names in _EXPORTS.values() for name in names)]
+
+
+def __getattr__(name):
+    """Bind every public name on the first access of one, or of a submodule
+    (PEP 562)."""
+    if name not in __all__ and name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    namespace = globals()
+    for module, names in _EXPORTS.items():
+        source = vars(import_module(f".{module}", __name__))
+        for public in names:
+            namespace.setdefault(public, source[public])
+    # CPython 3.11 does not specialize attribute loads on a module whose dict
+    # holds __getattr__, which would slow every later ``qtoric.<name>``.
+    namespace.pop("__getattr__", None)
+    return namespace[name]
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
