@@ -42,6 +42,7 @@ from .states import (
     _invalid_rows,
     _product_amplitudes,
     _state_rows,
+    _unit_factor,
     segre_embed,
     unit_vectors,
 )
@@ -114,7 +115,7 @@ def extract_factors(
     """
     _check_tolerance(tol)
     pairs = _pivot_factors(state._unit)
-    factors = tuple(map(QubitFactor, pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+    factors = tuple(map(_unit_factor, pairs[:, 0].tolist(), pairs[:, 1].tolist()))
     return factors if _reconstructs(state._unit, segre_embed(factors).amplitudes, tol) else None
 
 
@@ -212,7 +213,7 @@ def _reports(unit: np.ndarray, tol: float, with_measures: bool = True) -> list[A
             num_qubits=m,
             separable=i in kept,
             max_residual=residual,
-            factors=tuple(map(QubitFactor, a0[kept[i]], a1[kept[i]])) if i in kept else None,
+            factors=tuple(map(_unit_factor, a0[kept[i]], a1[kept[i]])) if i in kept else None,
             moment_image=image[kept[i]] if i in kept else None,
             measures={name: values[i] for name, values in measures.items()},
             tolerance=float(tol),

@@ -243,6 +243,16 @@ class QubitFactor:
         return QubitFactor(a0 / scale, a1 / scale)
 
 
+def _unit_factor(a0: complex, a1: complex) -> QubitFactor:
+    """A :class:`QubitFactor` built without the checks of ``__post_init__``,
+    for a pair of Python complex read off a finite unit vector, so finite and
+    nonzero; :meth:`MultiQubitState.normalized` skips them the same way."""
+    factor = object.__new__(QubitFactor)
+    object.__setattr__(factor, "a0", a0)
+    object.__setattr__(factor, "a1", a1)
+    return factor
+
+
 @dataclass(frozen=True, eq=False)
 class ProjectivePoint:
     """A point of P^(n-1) as n >= 2 homogeneous complex coordinates, equal to

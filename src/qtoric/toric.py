@@ -612,18 +612,22 @@ def largest_minors(unit) -> np.ndarray:
     ``r0`` first, and the result is the maximum of the whole minor matrix to
     the bit.
 
-    Up to m = 7 every minor is formed. Above, :func:`_tiled_largest_minors`
-    skips the tiles of the minor matrices that a bound rules out. Hadamard's
-    bound skips every tile but the heaviest on states far from the Segre
-    variety: at m = 12 it forms one tile of 32 x 32 in each 2048 x 2048
-    minor matrix. A bound from the Pluecker relations keeps a few dozen
-    tiles of exact and near products, and no tile of a zero column is
-    formed, so a basis state forms only the heaviest. States whose columns
-    all weigh the same, such as uniform and graph states, still form every
-    tile, at O(m 4^m).
+    Up to m = 7 every minor is formed; up to m = 6 a flattening's minor
+    matrix is a single tile, formed in one expression. Above m = 7,
+    :func:`_tiled_largest_minors` skips the tiles of the minor matrices that
+    a bound rules out. Hadamard's bound skips every tile but the heaviest on
+    states far from the Segre variety: at m = 12 it forms one tile of
+    32 x 32 in each 2048 x 2048 minor matrix. A bound from the Pluecker
+    relations keeps a few dozen tiles of exact and near products, and no
+    tile of a zero column is formed, so a basis state forms only the
+    heaviest. States whose columns all weigh the same, such as uniform and
+    graph states, still form every tile, at O(m 4^m).
 
-    The rows go to the kernel in the blocks of ``_BLOCK``, each block's
-    flattenings gathered just before its call.
+    The rows go to the kernel in blocks of as many whole rows as fill
+    ``_BLOCK`` entries with one tile of each flattening, at least one row,
+    each block's flattenings gathered just before its call. So up to m = 6,
+    where a block's single tiles hold at most ``_BLOCK`` entries, the
+    temporaries that form them come from the heap.
     """
     unit, m = _state_rows(unit, "the Segre certificate")
     columns = _flattening_columns(m)
@@ -660,9 +664,12 @@ def _tiled_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
     tiles on or above the diagonal are formed: the tile of column ranges I
     and J is ``r0[I, None] * r1[None, J] - r0[None, J] * r1[I, None]``,
     ``_TILE`` on a side, and a diagonal tile reads its second term as the
-    transpose of its first. Each tile is formed at once for every flattening
-    of the call, in three buffers, in equal pieces of at most ``_BLOCK``
-    entries.
+    transpose of its first. Up to ``_TILE`` columns (m <= 6) the one
+    diagonal tile is formed in one expression, with the same operations in
+    the same order; its temporaries hold as many entries as the call, which
+    :func:`largest_minors` keeps within ``_BLOCK``. Above, each tile is
+    formed at once for every flattening of the call, in three buffers, in
+    equal pieces of at most ``_BLOCK`` entries.
 
     Above ``_PRUNE_COLUMNS`` columns, each flattening's columns are sorted
     by their norm ``hypot(|r0|, |r1|)``. The last tile, of the heaviest
@@ -674,8 +681,10 @@ def _tiled_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
     the bit.
     """
     count, m, n = r0.shape
-    side = min(n, _TILE)
-    spans = [slice(i, i + side) for i in range(0, n, side)]
+    if n <= _TILE:
+        d = r0[..., :, None] * r1[..., None, :]
+        return abs(d - d.swapaxes(2, 3)).max(axis=(1, 2, 3))
+    spans = [slice(i, i + _TILE) for i in range(0, n, _TILE)]
     last = len(spans) - 1
     prune = n > _PRUNE_COLUMNS
     if prune:
@@ -686,12 +695,12 @@ def _tiled_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
         order = norms.argsort(axis=2)
         order += np.arange(0, r0.size, n).reshape(count, m, 1)
         r0, r1 = r0.take(order), r1.take(order)
-        heads = norms.take(order[:, :, side - 1 :: side])  # each tile's heaviest column
+        heads = norms.take(order[:, :, _TILE - 1 :: _TILE])  # each tile's heaviest column
     else:
         tiles = [(i, j) for i in range(last + 1) for j in range(i, last + 1)]
     r0, r1 = r0.reshape(-1, n), r1.reshape(-1, n)
-    per_piece = math.ceil(len(r0) / math.ceil(len(r0) * side * side / _BLOCK))
-    products = np.empty((per_piece, side, side), dtype=complex)
+    per_piece = math.ceil(len(r0) / math.ceil(len(r0) * _TILE * _TILE / _BLOCK))
+    products = np.empty((per_piece, _TILE, _TILE), dtype=complex)
     minors, sizes = np.empty_like(products), np.empty(products.shape)
     worst = np.zeros(len(r0))
 

@@ -312,6 +312,8 @@ def _assert_same_report(got, want):
     assert got.tolerance == want.tolerance
     assert got.max_residual == want.max_residual
     assert got.factors == want.factors
+    for factor in (*(got.factors or ()), *(want.factors or ())):
+        assert type(factor.a0) is complex and type(factor.a1) is complex
     if want.moment_image is None:
         assert got.moment_image is None
     else:

@@ -2,6 +2,7 @@ import errno
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -886,6 +887,21 @@ def test_output_flag_unwritable_path_exits_2(tmp_path):
     assert f"cannot write {out}" in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="needs SIGPIPE")
+def test_closed_pipe_ends_the_command_quietly():
+    # A reader that stops after one line, as `| head -n 1` does: the command
+    # ends on SIGPIPE, as cat does, with no traceback and no exit code of its own.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "qtoric", "segre", "-m", "9", "--list"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+    )
+    assert child.stdout.readline().startswith(b"a[")
+    child.stdout.close()
+    stderr = child.stderr.read()
+    assert child.wait(timeout=60) == -signal.SIGPIPE
+    assert stderr == b""
 
 
 @pytest.mark.parametrize(

@@ -832,20 +832,21 @@ def _certificate_states(rng, m):
 @pytest.mark.parametrize("m", range(2, 13))
 def test_largest_minors_bit_identical_to_dense_matrix(m):
     # Every kind of state against the dense oracle, in one batch and one at a
-    # time through max_segre_residual. Up to m = 7 the kernel forms every
-    # minor, in tiles that pack several flattenings; from m = 8 it skips
-    # tiles, and the batch mixes rows that skip with rows that form every
-    # tile. Neither may change a single bit of the maximum.
+    # time through max_segre_residual. Up to m = 6 each flattening is one
+    # tile, formed in one expression; at m = 7 the kernel forms every minor
+    # in tiles that pack several flattenings; from m = 8 it skips tiles, and
+    # the batch mixes rows that skip with rows that form every tile. None
+    # may change a single bit of the maximum.
     rng = np.random.default_rng(40 + m)
     states = [MultiQubitState(m, v) for v in _certificate_states(rng, m).values()]
     unit = np.stack([unit_vectors(s.amplitudes)[0] for s in states])
     want = [_dense_largest_minor(row, m) for row in unit]
     assert largest_minors(unit).tolist() == want
     assert [max_segre_residual(s) for s in states] == want
-    if 3 <= m <= 5:
-        # 151 rows, the kinds repeated, make blocks of 149, 28 and 5 rows at
-        # m = 3, 4 and 5, so each batch ends in a short block.
-        repeat = np.arange(151) % len(unit)
+    if m <= 6:
+        # 899 rows, the kinds repeated, make blocks of 896, 149, 28, 5 and 1
+        # rows at m = 2-6, so each batch up to m = 5 ends in a short block.
+        repeat = np.arange(899) % len(unit)
         assert largest_minors(unit[repeat]).tolist() == [want[k] for k in repeat]
 
 
