@@ -54,6 +54,7 @@ _EXPORTS = {
         "delzant_check",
         "normal_fan_box",
         "MAX_RELATION_QUBITS",
+        "DEFAULT_TOLERANCE",
         "relation_table",
         "segre_relations",
         "relation_residual",
@@ -76,7 +77,7 @@ _EXPORTS = {
         "tau4_epsilon_oracle",
         "check_tau4_identities",
     ),
-    "analyzer": ("AnalysisReport", "DEFAULT_TOLERANCE", "analyze", "analyze_many", "extract_factors"),
+    "analyzer": ("AnalysisReport", "analyze", "analyze_many", "extract_factors"),
     "errors": (
         "QToricError",
         "LengthMismatchError",

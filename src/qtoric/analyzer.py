@@ -46,7 +46,7 @@ from .states import (
     segre_embed,
     unit_vectors,
 )
-from .toric import largest_minors, max_segre_residual
+from .toric import DEFAULT_TOLERANCE, largest_minors, max_segre_residual
 
 __all__ = [
     "AnalysisReport",
@@ -56,8 +56,6 @@ __all__ = [
     "applicable_measures",
     "measures_to_dict",
 ]
-
-DEFAULT_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -198,23 +196,29 @@ def _reports(unit: np.ndarray, tol: float, with_measures: bool = True) -> list[A
     residuals = largest_minors(unit) if m > 1 else np.zeros(len(unit))
 
     passed = np.flatnonzero(residuals <= tol)  # only these rows are factored
-    rows = unit[passed]
-    factors = _pivot_factors(rows)
-    image = _images(factors)[..., 0]  # moment_product of each row's factors
-    rebuilt = _reconstructs(rows, _product_amplitudes(factors), tol).tolist()
-    kept = {i: k for k, i in enumerate(passed.tolist()) if rebuilt[k]}  # row -> factored row
+    kept = {}  # row -> its factors and moment image, for the rows that rebuild
+    if passed.size:
+        rows = unit[passed]
+        factors = _pivot_factors(rows)
+        image = _images(factors)[..., 0]  # moment_product of each row's factors
+        rebuilt = _reconstructs(rows, _product_amplitudes(factors), tol).tolist()
+        a0, a1 = factors[..., 0].tolist(), factors[..., 1].tolist()
+        kept = {
+            i: (tuple(map(_unit_factor, a0[k], a1[k])), image[k])
+            for k, i in enumerate(passed.tolist())
+            if rebuilt[k]
+        }
 
     measures = {}
     if with_measures:
         measures = {name: values.tolist() for name, values in _measures_many(unit).items()}
-    a0, a1 = factors[..., 0].tolist(), factors[..., 1].tolist()
     return [
         AnalysisReport(
             num_qubits=m,
             separable=i in kept,
             max_residual=residual,
-            factors=tuple(map(_unit_factor, a0[kept[i]], a1[kept[i]])) if i in kept else None,
-            moment_image=image[kept[i]] if i in kept else None,
+            factors=kept[i][0] if i in kept else None,
+            moment_image=kept[i][1] if i in kept else None,
             measures={name: values[i] for name, values in measures.items()},
             tolerance=float(tol),
         )

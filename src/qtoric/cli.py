@@ -24,21 +24,12 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .analyzer import (
-    AnalysisReport,
-    DEFAULT_TOLERANCE,
-    _measures_many,
-    _reports,
-    analyze_many,
-    measures_to_dict,
-)
 from .errors import QToricError, SchemaError, WrongQubitCountError
-from .measures import check_tau4_identities
-from .moment import BoxPolytope, in_polytope, moment_projective
 from .states import (
     MultiQubitState,
     QubitFactor,
@@ -52,13 +43,29 @@ from .states import (
     state_from_dict,
     state_to_dict,
 )
-from .toric import RELATION_TEXT, cube, delzant_check, lattice_points, normal_fan_box
-from .toric import max_segre_residual, relation_table
+from .toric import DEFAULT_TOLERANCE, RELATION_TEXT, cube, delzant_check, lattice_points
+from .toric import max_segre_residual, normal_fan_box, relation_table
 
-# Not called here: analyze runs through _reports, and segre works from
-# relation_table. benchmarks/tracer.py wraps all three at these names.
-from .analyzer import analyze  # noqa: F401
+# The analyzer, the measures and the moment maps are imported inside the
+# commands that run them (analyze, moment, tangle, invariants), so segre,
+# polytope and embed do not pay for loading them.
+if TYPE_CHECKING:
+    from .analyzer import AnalysisReport
+
+# Not called here: benchmarks/tracer.py wraps these two and the analyzer's
+# analyze at these names (segre works from relation_table, and analyze runs
+# through _reports). analyze is bound on first access, by __getattr__.
 from .toric import relation_residual, segre_relations  # noqa: F401
+
+
+def __getattr__(name):
+    if name != "analyze":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .analyzer import analyze
+
+    globals()["analyze"] = analyze
+    return analyze
+
 
 __all__ = ["main", "build_parser"]
 
@@ -202,6 +209,8 @@ def _report_text(report: AnalysisReport) -> str:
 
 
 def _cmd_analyze(args) -> int:
+    from .analyzer import _reports
+
     target = getattr(args, "path", None)
     if target and Path(target).is_dir() and not args.state:
         return _analyze_directory(args, target)
@@ -220,6 +229,8 @@ def _cmd_analyze(args) -> int:
 
 def _analyze_directory(args, target: str) -> int:
     """One report per state file; a file that fails gets an error record instead."""
+    from .analyzer import analyze_many
+
     # Sorted as strings, which on POSIX is the order of the Path objects.
     paths = sorted(map(str, Path(target).glob("*.json")))
     if not paths:
@@ -426,6 +437,8 @@ def _relation_row_template(with_residual: bool) -> str:
 
 
 def _cmd_moment(args) -> int:
+    from .moment import BoxPolytope, in_polytope, moment_projective
+
     if args.projective:
         path = getattr(args, "path", None)
         if not path:
@@ -434,6 +447,8 @@ def _cmd_moment(args) -> int:
             raise _CliError("give either a point file or --state, not both", code=1)
         image = moment_projective(point_from_dict(_load_json(path)))
     else:
+        from .analyzer import _reports
+
         unit = _resolve_state(args)._unit[None]
         image = _reports(unit, args.tol, with_measures=False)[0].moment_image
         if image is None:
@@ -464,6 +479,8 @@ def _cmd_moment(args) -> int:
 
 
 def _cmd_tangle(args) -> int:
+    from .analyzer import _measures_many, measures_to_dict
+
     state = _resolve_state(args)
     rows = _measures_many(state._unit[None])
     measures = {name: values.tolist()[0] for name, values in rows.items()}
@@ -477,6 +494,8 @@ def _cmd_tangle(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
+    from .measures import check_tau4_identities
+
     state = _resolve_state(args)
     if state.num_qubits != 4:
         raise WrongQubitCountError(

@@ -64,6 +64,7 @@ __all__ = [
     "delzant_check",
     "normal_fan_box",
     "MAX_RELATION_QUBITS",
+    "DEFAULT_TOLERANCE",
     "RELATION_TEXT",
     "relation_table",
     "segre_relations",
@@ -429,6 +430,10 @@ about four times as many per further qubit."""
 RELATION_TEXT = "a[%(x)s]*a[%(y)s] = a[%(u)s]*a[%(v)s]"
 """A relation ``a[x] a[y] = a[u] a[v]`` as text, filled with the bitstrings
 of its four indices."""
+
+DEFAULT_TOLERANCE = 1e-10
+"""Default tolerance of the separability verdict: the residual gate passes a
+state whose largest relation residual is at most this."""
 
 
 @dataclass(frozen=True, order=True)

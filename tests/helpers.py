@@ -65,6 +65,10 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 def child_env() -> dict[str, str]:
     """The environment for a child Python process, which then imports qtoric
-    from this checkout, installed or not."""
+    from this checkout, installed or not. Its stdout is buffered, as Python
+    buffers it by default when it is not a terminal, so a command's output
+    reaches its reader only through the command's own flush."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env

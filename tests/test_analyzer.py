@@ -158,6 +158,23 @@ def test_analyze_builds_one_state(m, monkeypatch):
         assert len(built) == count
 
 
+def test_reports_factor_only_rows_past_the_residual_gate(monkeypatch):
+    # A batch that no row of passes the residual gate, as an entangled file
+    # of `qtoric analyze FILE`, runs none of the factor stages.
+    calls = []
+    for name in ("_pivot_factors", "_images", "_product_amplitudes", "_reconstructs"):
+        stage = getattr(qtoric.analyzer, name)
+        monkeypatch.setattr(
+            qtoric.analyzer, name, lambda *args, _stage=stage: calls.append(_stage) or _stage(*args)
+        )
+    rng = np.random.default_rng(17)
+    for state, count in ((random_state(rng, 3), 0), (random_product_state(rng, 3), 4)):
+        calls.clear()
+        (report,) = qtoric.analyzer._reports(state._unit[None], 1e-10)
+        assert report.separable == bool(count)
+        assert len(calls) == count
+
+
 def test_analyze_rejects_single_qubit():
     with pytest.raises(WrongQubitCountError):
         analyze(make_state(1, [1, 0]))

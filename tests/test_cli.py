@@ -904,6 +904,60 @@ def test_closed_pipe_ends_the_command_quietly():
     assert stderr == b""
 
 
+# The console script's wrapper, as pip writes it, and `python -m qtoric`.
+LAUNCHERS = [["-c", "import sys; from qtoric.__main__ import main; sys.exit(main())"], ["-m", "qtoric"]]
+
+
+def test_command_output_is_the_in_process_output(tmp_path, capsys):
+    # The command ends the process without the interpreter's teardown, once
+    # its buffered output is flushed: every byte still arrives, through a pipe
+    # and in an -o file.
+    argv = ["segre", "-m", "8", "--list"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out.encode()
+    command = [sys.executable, "-m", "qtoric", *argv]
+    piped = subprocess.run(command, capture_output=True, env=child_env())
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == want
+    out = tmp_path / "relations.txt"
+    written = subprocess.run([*command, "-o", str(out)], capture_output=True, env=child_env())
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert out.read_bytes() == want
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS, ids=["console-script", "module"])
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["--version"], 0, f"qtoric {qtoric.__version__}\n"),
+        (["tangle", "--state", "bell"], 0, "concurrence = 1\n"),
+        (["tangle", "--state", "bell", "--tol", "1"], 1, ""),
+        (["moment", "--state", "bell"], 3, ""),
+    ],
+)
+def test_command_exit_codes_and_output(launcher, argv, code, out):
+    # The exit code of a returned command and of argparse's SystemExit.
+    result = subprocess.run(
+        [sys.executable, *launcher, *argv], capture_output=True, text=True, env=child_env()
+    )
+    assert (result.returncode, result.stdout) == (code, out)
+    assert (result.stderr == "") == (code == 0)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("launcher", LAUNCHERS, ids=["console-script", "module"])
+def test_lost_output_ends_the_command_with_an_error(launcher):
+    # Buffered stdout fails only when the command flushes it, at its end; a
+    # write that is lost must still end it with a nonzero status.
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, *launcher, "analyze", "--state", "bell"],
+            stdout=full, stderr=subprocess.PIPE, env=child_env(),
+        )
+    assert result.returncode != 0
+    assert b"No space left on device" in result.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [

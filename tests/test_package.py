@@ -1,5 +1,5 @@
-"""The lazy ``qtoric`` package and the command's one-thread OpenBLAS, each
-checked in a fresh interpreter."""
+"""The lazy ``qtoric`` package, the modules each command loads and the
+command's one-thread OpenBLAS, each checked in a fresh interpreter."""
 
 import os
 import subprocess
@@ -101,6 +101,27 @@ def test_star_import_binds_all():
         exec("from qtoric import *", namespace)
         for name in qtoric.__all__:
             assert namespace[name] is vars(qtoric)[name], name
+        """
+    )
+
+
+def test_commands_load_only_the_modules_they_run(tmp_path):
+    # segre, polytope and embed call neither the analyzer, nor the measures,
+    # nor the moment maps; the name the benchmark's tracer wraps still
+    # resolves.
+    state = tmp_path / "bell.json"
+    state.write_text('{"qubits": 2, "amplitudes": [[1, 0], [0, 0], [0, 0], [1, 0]]}')
+    factors = tmp_path / "factors.json"
+    factors.write_text('{"factors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}')
+    run_child(
+        f"""
+        import sys, qtoric.cli
+        for argv in (["segre", {str(state)!r}], ["polytope", "cube", "-m", "2"], ["embed", {str(factors)!r}]):
+            assert qtoric.cli.main(argv) == 0, argv
+        loaded = {{"qtoric.analyzer", "qtoric.measures", "qtoric.moment"}} & set(sys.modules)
+        assert not loaded, loaded
+        from qtoric.analyzer import analyze
+        assert qtoric.cli.analyze is analyze
         """
     )
 
