@@ -54,7 +54,9 @@ if TYPE_CHECKING:
 
 # Not called here: benchmarks/tracer.py wraps these two and the analyzer's
 # analyze at these names (segre works from relation_table, and analyze runs
-# through _reports). analyze is bound on first access, by __getattr__.
+# through _reports). analyze is bound on first access, by __getattr__. The
+# tracer also wraps _emit_json, inside which the rows render lazily, and
+# _relation_dict, now the segre row schema, called once per command.
 from .toric import relation_residual, segre_relations  # noqa: F401
 
 
@@ -179,6 +181,42 @@ def _emit_json(args, payload, key=None, rows=None) -> None:
     _emit(args, itertools.chain([head.rstrip(" ")], rows, [tail]))
 
 
+def _row_template(sample, depth, *bare) -> str:
+    """``sample``, a dict or list with %-placeholder leaves, as a %-template of
+    what ``json.dumps(indent=2)`` writes for it ``depth`` levels deep, with the
+    placeholders in ``bare`` unquoted: numbers, and strings that ``_json_str``
+    quotes. Rows written through it cannot drift from the sample's schema.
+    """
+    text = json.dumps(sample, indent=2)
+    for placeholder in bare:
+        text = text.replace(f'"{placeholder}"', placeholder)
+    indent = "  " * depth
+    return indent + text.replace("\n", "\n" + indent)
+
+
+_BLOCK = 1024  # rows rendered into one piece of output
+
+
+def _joined(texts, sep):
+    """``sep.join(texts)``, in pieces of ``_BLOCK`` texts, for ``_emit``.
+
+    Pieces keep memory bounded: at m = 10 the ``segre`` JSON output is
+    about 400 MB. At m = 7 the command peaks about 5 MB lower with pieces
+    of 1024 rows than of 8192, at the same speed.
+    """
+    texts = iter(texts)
+    lead = ""
+    while block := list(itertools.islice(texts, _BLOCK)):
+        yield lead + sep.join(block)
+        lead = sep
+
+
+def _listed(array):
+    """The rows of ``array`` as Python values, converted ``_BLOCK`` at a time."""
+    for start in range(0, len(array), _BLOCK):
+        yield from array[start : start + _BLOCK].tolist()
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -264,7 +302,7 @@ def _analyze_directory(args, target: str) -> int:
             outcomes[positions[i]] = result
     names = [os.path.basename(path) for path in paths]
     if args.format == "json":
-        _emit_json(args, None, rows=_rendered_records(names, outcomes))
+        _emit_json(args, None, rows=_joined(_rendered_records(names, outcomes), ",\n"))
     else:
         blocks = [
             f"== {name}\n" + (f"error: {o}" if isinstance(o, str) else _report_text(o))
@@ -283,42 +321,23 @@ _json_str = json.encoder.encode_basestring_ascii  # how json.dumps writes a str
 
 def _rendered_records(names, outcomes):
     """The records of ``analyze DIR``, ``{"path": name, **report.to_dict()}``
-    or ``{"path": name, "error": message}``, joined as ``json.dumps(indent=2)``
-    writes them in its top-level list, as one piece.
+    or ``{"path": name, "error": message}``, one text each.
 
-    Each record fills the template of :func:`_record_template` for its qubit
-    count and verdict, or for an error, made from the first such record.
+    Each qubit count and verdict, and the errors, get one template, dumped
+    from their first record with every float as ``%r``: ``repr`` is how
+    ``json`` writes a float, and the reports of finite, nonzero states hold
+    finite floats only.
     """
     templates: dict = {}
-    pieces = []
     for name, outcome in zip(names, outcomes):
         if isinstance(outcome, str):
             key, values = None, (_json_str(outcome),)
         else:
             key, values = (outcome.num_qubits, outcome.separable), _report_numbers(outcome)
         if key not in templates:
-            templates[key] = _record_template(outcome)
-        pieces.append(templates[key] % (_json_str(name), *values))
-    yield ",\n".join(pieces)
-
-
-def _record_template(outcome) -> str:
-    """A record of :func:`_rendered_records` as a %-template, as
-    ``json.dumps(indent=2)`` nests it in a list of the top level.
-
-    Dumped from the error record or from ``report.to_dict()``, with the path
-    and the message as ``%s`` and every float as ``%r``, so the records
-    written through it cannot drift from the schema. ``repr`` is how ``json``
-    writes a float; the reports of finite, nonzero states hold finite floats
-    only.
-    """
-    if isinstance(outcome, str):
-        fields = {"error": "%s"}
-    else:
-        fields = _float_placeholders(outcome.to_dict())
-    text = json.dumps({"path": "%s", **fields}, indent=2)
-    text = text.replace('"%s"', "%s").replace('"%r"', "%r")
-    return "  " + text.replace("\n", "\n  ")
+            fields = {"error": "%s"} if key is None else _float_placeholders(outcome.to_dict())
+            templates[key] = _row_template({"path": "%s", **fields}, 1, "%s", "%r")
+        yield templates[key] % (_json_str(name), *values)
 
 
 def _float_placeholders(value):
@@ -362,6 +381,8 @@ def _cmd_segre(args) -> int:
         m, residuals, largest = args.m, None, None
         table = relation_table(m)
     else:
+        if args.m is not None:
+            raise _CliError("segre -m requires --list; a state gives its own m", code=1)
         state = _resolve_state(args)
         m = state.num_qubits
         table = relation_table(m)
@@ -369,66 +390,37 @@ def _cmd_segre(args) -> int:
         x, y, u, v = table[:, :4].T
         residuals = np.abs(a[x] * a[y] - a[u] * a[v])
         largest = max_segre_residual(state)
+    # Every row fills one template with the bitstrings x, y, u, v, the swap
+    # axis j and the residual r.
     if args.format == "json":
-        template = _relation_row_template(residuals is not None)
-        rows = _rendered_rows(table, m, template, ",\n", residuals, repr)
+        row = _relation_dict(("%(x)s", "%(y)s"), ("%(u)s", "%(v)s"), "%(j)d", RELATION_TEXT)
         payload = {"m": m, "relations": None}
         if residuals is not None:
+            row["residual"] = "%(r)s"  # filled by repr, which is how json writes a float
             payload["max_residual"] = largest
-        _emit_json(args, payload, "relations", rows)
-    elif residuals is None:
-        _emit(args, _rendered_rows(table, m, RELATION_TEXT, "\n"))
+        template, sep, residual_text = _row_template(row, 2, "%(j)d", "%(r)s"), ",\n", repr
     else:
-        template = RELATION_TEXT + "   residual = %(r)s"
-        rows = _rendered_rows(table, m, template, "\n", residuals, _fmt)
-        _emit(args, itertools.chain(rows, [f"\nmax residual = {_fmt(largest)}"]))
-    return 0
-
-
-_BLOCK = 1024  # table rows rendered into one piece of output
-
-
-def _rendered_rows(table, m, template, sep, residuals=None, residual_text=None):
-    """``sep.join`` of ``template`` filled from each table row, piece by piece.
-
-    The fields are the bitstrings ``x, y, u, v``, the swap axis ``j`` and the
-    residual ``r`` as ``residual_text`` writes it. Pieces of ``_BLOCK`` rows
-    keep memory bounded: at m = 10 the JSON output is about 400 MB. At m = 7
-    the command peaks about 5 MB lower with pieces of 1024 rows than of 8192,
-    at the same speed.
-    """
+        template, sep, residual_text = RELATION_TEXT, "\n", _fmt
+        if residuals is not None:
+            template += "   residual = %(r)s"
     bits = [format(i, f"0{m}b") for i in range(1 << m)]
-    for start in range(0, len(table), _BLOCK):
-        block = table[start : start + _BLOCK].tolist()
-        if residuals is None:
-            texts = itertools.repeat("")
-        else:
-            texts = map(residual_text, residuals[start : start + _BLOCK].tolist())
-        piece = sep.join(
-            template % {"x": bits[x], "y": bits[y], "u": bits[u], "v": bits[v], "j": j, "r": r}
-            for (x, y, u, v, j), r in zip(block, texts)
-        )
-        yield piece if start == 0 else sep + piece
+    texts = itertools.repeat("") if residuals is None else map(residual_text, _listed(residuals))
+    filled = (
+        template % {"x": bits[x], "y": bits[y], "u": bits[u], "v": bits[v], "j": j, "r": r}
+        for (x, y, u, v, j), r in zip(_listed(table), texts)
+    )
+    rows = _joined(filled, sep)
+    if args.format == "json":
+        _emit_json(args, payload, "relations", rows)
+    else:
+        tail = "" if residuals is None else f"\nmax residual = {_fmt(largest)}"
+        _emit(args, itertools.chain(rows, [tail]))
+    return 0
 
 
 def _relation_dict(lhs, rhs, swap_axis, text) -> dict:
     """One relation row of the ``segre`` JSON payload."""
     return {"lhs": list(lhs), "rhs": list(rhs), "swap_axis": swap_axis, "text": text}
-
-
-def _relation_row_template(with_residual: bool) -> str:
-    """A ``segre`` JSON row as a %-template, as ``json.dumps(indent=2)`` nests it.
-
-    Dumped from :func:`_relation_dict` with the fields of
-    :func:`_rendered_rows` as placeholders, so the rows written through it
-    cannot drift from the schema. The residual is filled in by ``repr``,
-    which is how ``json`` writes floats.
-    """
-    row = _relation_dict(("%(x)s", "%(y)s"), ("%(u)s", "%(v)s"), "%(j)d", RELATION_TEXT)
-    if with_residual:
-        row["residual"] = "%(r)s"
-    text = json.dumps(row, indent=2).replace('"%(j)d"', "%(j)d").replace('"%(r)s"', "%(r)s")
-    return "    " + text.replace("\n", "\n    ")
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +429,7 @@ def _relation_row_template(with_residual: bool) -> str:
 
 
 def _cmd_moment(args) -> int:
-    from .moment import BoxPolytope, in_polytope, moment_projective
+    from .moment import moment_projective
 
     if args.projective:
         path = getattr(args, "path", None)
@@ -453,23 +445,13 @@ def _cmd_moment(args) -> int:
         image = _reports(unit, args.tol, with_measures=False)[0].moment_image
         if image is None:
             raise _CliError("state is not a product; moment map undefined", code=3)
-    box = BoxPolytope.moment_box(len(image))
-    inside = in_polytope(image, box, args.tol)
+    # Every image lies in the box at tolerance 0: each coordinate is -w_i/2 / fl(sum of w)
+    # with every w_i >= 0, and a rounded sum of non-negative terms is never below one term.
+    k = len(image)
     if args.format == "json":
-        _emit_json(
-            args,
-            {
-                "moment_image": [float(t) for t in image],
-                "inside": inside,
-                "box": [[-0.5, 0.0]] * len(image),
-            },
-        )
+        _emit_json(args, {"moment_image": image.tolist(), "inside": True, "box": [[-0.5, 0.0]] * k})
     else:
-        _emit(
-            args,
-            f"moment image: {_fmt_vector(image)}\n"
-            f"inside [-1/2, 0]^{len(image)}: {str(inside).lower()}",
-        )
+        _emit(args, f"moment image: {_fmt_vector(image)}\ninside [-1/2, 0]^{k}: true")
     return 0
 
 
@@ -557,7 +539,8 @@ def _cmd_polytope(args) -> int:
         payload["lattice_points"] = None  # written from rows
         lines.append(f"lattice points: {len(points)}")
         if args.format == "json":
-            rows = _rendered_points(points)
+            template = _row_template(["%d"] * points.shape[1], 2, "%d")
+            rows = _joined((template % tuple(p) for p in _listed(points)), ",\n")
         else:
             lines += [f"  {tuple(p)}" for p in points.tolist()]
     if args.fan:
@@ -572,21 +555,6 @@ def _cmd_polytope(args) -> int:
     else:
         _emit(args, "\n".join(lines))
     return 0
-
-
-def _rendered_points(points):
-    """``",\n".join`` of the integer rows of ``points`` as ``json.dumps(indent=2)``
-    writes them in a list of the top level, in pieces of ``_BLOCK`` rows.
-
-    Each row fills a %-template dumped from a row of ``%d`` placeholders at
-    that nesting; at m = 12 this is several times faster than dumping the
-    3^12 rows, and holds one piece at a time.
-    """
-    row = json.dumps(["%d"] * points.shape[1], indent=2).replace('"%d"', "%d")
-    template = "    " + row.replace("\n", "\n    ")
-    for start in range(0, len(points), _BLOCK):
-        piece = ",\n".join(template % tuple(p) for p in points[start : start + _BLOCK].tolist())
-        yield piece if start == 0 else ",\n" + piece
 
 
 # ---------------------------------------------------------------------------

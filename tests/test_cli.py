@@ -47,6 +47,10 @@ STATE_SCHEMA = {
     },
 }
 
+# Row counts per output piece of the CLI's row writer: its own, and two that
+# put a piece boundary after every row or every third row.
+BLOCKS = (qtoric.cli._BLOCK, 1, 3)
+
 REPORT_SCHEMA = {
     "type": "object",
     "required": [
@@ -309,7 +313,7 @@ def test_one_file_gets_the_same_bits_from_every_command(tmp_path, capsys):
         assert moment.get("moment_image") == record["moment_image"], path
 
 
-def test_analyze_directory_is_the_per_file_route_as_json_dumps(tmp_path, capsys):
+def test_analyze_directory_is_the_per_file_route_as_json_dumps(tmp_path, capsys, monkeypatch):
     # The records of a directory are written from templates. They must be
     # the bytes json.dumps(indent=2) writes, both of the output itself and
     # of the per-file reports and errors, which run through json.dumps; and
@@ -390,11 +394,13 @@ def test_analyze_directory_is_the_per_file_route_as_json_dumps(tmp_path, capsys)
     assert {r["separable"] for r in records if "error" not in r} == {True, False}
     assert any(isinstance(r["measures"].get("H"), list) for r in records if "error" not in r)
 
-    assert main(["analyze", str(tmp_path), "--format", "json"]) == 2
-    out, err = capsys.readouterr()
-    assert out == json.dumps(json.loads(out), indent=2) + "\n"
-    assert out == json.dumps(records, indent=2) + "\n"
-    assert err == f"qtoric: error: {failed} of {len(names)} files failed\n"
+    err = f"qtoric: error: {failed} of {len(names)} files failed\n"
+    for block in BLOCKS:
+        monkeypatch.setattr(qtoric.cli, "_BLOCK", block)
+        assert main(["analyze", str(tmp_path), "--format", "json"]) == 2
+        out = capsys.readouterr()
+        assert out.out == json.dumps(json.loads(out.out), indent=2) + "\n"
+        assert out == (json.dumps(records, indent=2) + "\n", err)
     assert main(["analyze", str(tmp_path)]) == 2
     assert capsys.readouterr() == ("\n".join(blocks), err)
 
@@ -559,6 +565,11 @@ def test_segre_state_residuals():
 def test_segre_m1_usage_error():
     result = run_cli("segre", "-m", "1", "--list")
     assert result.returncode == 1
+    # A state gives its own qubit count; -m belongs to --list alone.
+    for argv in (("--state", "00", "-m", "5"), ("--state", "00", "-m", "2"), ("-m", "5")):
+        result = run_cli("segre", *argv)
+        assert (result.returncode, result.stdout) == (1, ""), argv
+        assert "segre -m requires --list" in result.stderr, argv
 
 
 def _cli_stdout(capsys, *argv) -> str:
@@ -576,37 +587,63 @@ def _relation_row(relation) -> dict:
 
 
 @pytest.mark.parametrize("m", [4, 7])
-def test_segre_list_json_is_json_dumps(capsys, m):
+def test_segre_list_json_is_json_dumps(capsys, monkeypatch, m):
     # m = 7 has 13,440 rows, more than one block of the row writer.
     payload = {"m": m, "relations": [_relation_row(r) for r in segre_relations(m)]}
-    out = _cli_stdout(capsys, "segre", "-m", str(m), "--list", "--format", "json")
-    assert out == json.dumps(payload, indent=2) + "\n"
+    for block in BLOCKS:
+        monkeypatch.setattr(qtoric.cli, "_BLOCK", block)
+        out = _cli_stdout(capsys, "segre", "-m", str(m), "--list", "--format", "json")
+        assert out == json.dumps(payload, indent=2) + "\n"
 
 
-def test_segre_state_json_is_json_dumps(capsys):
+def test_segre_state_json_is_json_dumps(capsys, monkeypatch, tmp_path):
     state = named_state("ghz4")
-    payload = {
-        "m": 4,
-        "relations": [
-            {**_relation_row(r), "residual": relation_residual(state, r)}
-            for r in segre_relations(4)
-        ],
-        "max_residual": max_segre_residual(state),
+    payloads = {
+        ("--state", "ghz4"): {
+            "m": 4,
+            "relations": [
+                {**_relation_row(r), "residual": relation_residual(state, r)}
+                for r in segre_relations(4)
+            ],
+            "max_residual": max_segre_residual(state),
+        }
     }
-    out = _cli_stdout(capsys, "segre", "--state", "ghz4", "--format", "json")
-    assert out == json.dumps(payload, indent=2) + "\n"
+    # Seeded random state files at m = 2-7; at m = 7 the 13,440 rows span
+    # 14 blocks. The residual column is checked against relation_residual
+    # by test_segre_residual_column_matches_relation_residual; here every
+    # byte around it is checked, and the column as json.dumps writes it.
+    rng = np.random.default_rng(61)
+    for m in range(2, 8):
+        path = tmp_path / f"s{m}.json"
+        path.write_text(json.dumps(state_to_dict(random_state(rng, m))))
+        out = _cli_stdout(capsys, "segre", str(path), "--format", "json")
+        residuals = [row["residual"] for row in json.loads(out)["relations"]]
+        payloads[(str(path),)] = {
+            "m": m,
+            "relations": [
+                {**_relation_row(r), "residual": residual}
+                for r, residual in zip(segre_relations(m), residuals, strict=True)
+            ],
+            "max_residual": max_segre_residual(state_from_dict(json.loads(path.read_text()))),
+        }
+    for block in BLOCKS:
+        monkeypatch.setattr(qtoric.cli, "_BLOCK", block)
+        for source, payload in payloads.items():
+            out = _cli_stdout(capsys, "segre", *source, "--format", "json")
+            assert out == json.dumps(payload, indent=2) + "\n", (block, source)
 
 
-def test_segre_text_is_relation_str(capsys):
-    for m in (3, 7):
-        out = _cli_stdout(capsys, "segre", "-m", str(m), "--list")
-        assert out == "\n".join(str(r) for r in segre_relations(m)) + "\n"
-
+def test_segre_text_is_relation_str(capsys, monkeypatch):
     state = named_state("w3")
     lines = [f"{r}   residual = {_fmt(relation_residual(state, r))}" for r in segre_relations(3)]
     lines.append(f"max residual = {_fmt(max_segre_residual(state))}")
-    out = _cli_stdout(capsys, "segre", "--state", "w3")
-    assert out == "\n".join(lines) + "\n"
+    for block in BLOCKS:
+        monkeypatch.setattr(qtoric.cli, "_BLOCK", block)
+        for m in (3, 7):
+            out = _cli_stdout(capsys, "segre", "-m", str(m), "--list")
+            assert out == "\n".join(str(r) for r in segre_relations(m)) + "\n"
+        out = _cli_stdout(capsys, "segre", "--state", "w3")
+        assert out == "\n".join(lines) + "\n"
 
 
 @pytest.mark.bitexact
@@ -792,11 +829,13 @@ def test_polytope_json_fan():
 POLYTOPE_FLAGS = ("--delzant", "--lattice-points", "--fan")
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_polytope_json_is_json_dumps(capsys, m):
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7])
+def test_polytope_json_is_json_dumps(capsys, monkeypatch, m):
     # The lattice points are written through a row template, the rest by
     # json.dumps: the text must be exactly json.dumps(payload, indent=2).
-    for variant in ("centered", "unit"):
+    # m = 7 has 2187 points, more than one block of the row writer.
+    for variant, block in itertools.product(("centered", "unit"), BLOCKS):
+        monkeypatch.setattr(qtoric.cli, "_BLOCK", block)
         want_points = lattice_points(cube(m, variant)).points.tolist()
         for flags in itertools.product(*[((), (flag,)) for flag in POLYTOPE_FLAGS]):
             argv = ["polytope", "cube", "-m", str(m), "--variant", variant, *sum(flags, ())]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qtoric import (
     BoxPolytope,
@@ -12,6 +14,7 @@ from qtoric import (
     moment_projective,
     s1_moment_disk,
 )
+from qtoric.moment import _images
 from helpers import random_factor
 
 
@@ -118,6 +121,28 @@ def test_moment_containment_random():
     for _ in range(1000):
         image = moment_product([random_factor(rng), random_factor(rng)])
         assert in_polytope(image, box, 1e-12)
+
+
+_PART = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.tuples(_PART, _PART, _PART, _PART), min_size=1, max_size=6),
+    st.floats(-310.0, 307.0),
+)
+def test_images_lie_in_the_box_at_tolerance_zero(factors, exponent):
+    # Each coordinate is -w_i/2 / fl(sum of w) with every w_i >= 0, and a
+    # rounded sum of non-negative terms is never below one of them: the
+    # image lies in [-1/2, 0]^k with no tolerance, which is why qtoric
+    # moment prints "inside" as a constant. The product route maps each
+    # factor as a point of P^1; the --projective route takes all the
+    # coordinates as one point of P^(2k-1).
+    scale = 10.0**exponent
+    pairs = np.array([[complex(a, b) * scale, complex(c, d) * scale] for a, b, c, d in factors])
+    assume(np.all(np.abs(pairs).max(axis=1) > 0))
+    for image in (_images(pairs)[:, 0], _images(pairs.reshape(-1))):
+        assert np.all((image >= -0.5) & (image <= 0.0)), image
 
 
 def test_fixed_point_images_table():
