@@ -195,7 +195,7 @@ def _reports(unit: np.ndarray, tol: float, with_measures: bool = True) -> list[A
     m = unit.shape[1].bit_length() - 1
     residuals = largest_minors(unit) if m > 1 else np.zeros(len(unit))
 
-    passed = np.flatnonzero(residuals <= tol)  # only these rows are factored
+    (passed,) = (residuals <= tol).nonzero()  # only these rows are factored
     kept = {}  # row -> its factors and moment image, for the rows that rebuild
     if passed.size:
         rows = unit[passed]

@@ -13,10 +13,12 @@ bitwise complement, signed by index parity; ``I1`` builds the same quantity
 from the symplectic pairing ``g = J (x) J`` on the four amplitude blocks and
 equals ``H / 2`` identically. The epsilon contraction of Wong and
 Christensen (quant-ph/0010052) gives the four-tangle a third route,
-independent of ``H``: every one of its 2^16 terms is kept, grouped by
-associativity into two small contractions of the 2x2x2x2 amplitude tensor
-with the symplectic unit ``J``. Under these definitions both tangle routes
-equal ``4|H|^2``.
+independent of ``H``. Of its 2^16 terms, only the 256 whose coefficient, a
+product of entries of the symplectic unit ``J``, is nonzero are formed:
+grouped by associativity, two amplitude tensors contracted on their three
+high qubits give a 2x2 matrix of sums of 8 signed products each, and two
+copies of it contracted on the low qubit give the sum. Under these
+definitions both tangle routes equal ``4|H|^2``.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def _m_tangle_rows(unit: np.ndarray):
     """:func:`m_tangle` of each unit vector along the last axis of ``unit``, m even."""
     m = unit.shape[-1].bit_length() - 1
     flipped = _flip_coefficients(m) * np.conj(unit[..., ::-1])
-    return np.abs(np.sum(np.conj(unit) * flipped, axis=-1)) ** 2
+    return np.abs(np.add.reduce(np.conj(unit) * flipped, axis=-1)) ** 2
 
 
 def concurrence(state: MultiQubitState) -> float:
@@ -124,6 +126,7 @@ def three_tangle(state: MultiQubitState) -> float:
 
 _H_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
 _H_SIGNS.setflags(write=False)
+_EPSILON_SIGNS = _H_SIGNS[:, None, None]  # J (x) J (x) J[k, 7 - k], over (k, d, h)
 
 
 def invariant_H(state: MultiQubitState) -> complex:
@@ -141,7 +144,7 @@ def invariant_H(state: MultiQubitState) -> complex:
 
 def _h_sum(a: np.ndarray):
     """H of each length-16 amplitude vector along the last axis of ``a``."""
-    return np.sum(_H_SIGNS * a[..., :8] * a[..., :7:-1], axis=-1)
+    return np.add.reduce(_H_SIGNS * a[..., :8] * a[..., :7:-1], axis=-1)
 
 
 def bilinear_g(u, v) -> complex:
@@ -188,26 +191,31 @@ def _i1_rows(unit: np.ndarray):
 
 
 def _tau4_contraction(amplitudes: np.ndarray):
-    # The 2^16-term epsilon contraction with every term kept, summed in two
-    # groups by associativity: p contracts the three high qubits of two
-    # amplitude factors, and the pairs (k, l) and (m, n) give the same p. The
-    # einsum reduction order is fixed, so repeated evaluations are
-    # bit-identical. Equals 2 H^2 as a complex number, for each length-16
-    # vector along the last axis.
-    t = amplitudes.reshape(*amplitudes.shape[:-1], 2, 2, 2, 2)
-    p = np.einsum("...abcd,...efgh,ae,bf,cg->...dh", t, t, J, J, J)
-    return np.einsum("...dh,...lp,dl,hp->...", p, p, J, J)
+    # The 2^16-term epsilon contraction over its nonzero terms, summed in two
+    # groups by associativity. p contracts the three high qubits of two
+    # amplitude factors with J (x) J (x) J, which pairs high index k only
+    # with its complement 7 - k, signed by the parity of k (the signs of H):
+    # p[d, h] = sum_k s_k t[k, d] t[7 - k, h], one reduction over k. The pairs
+    # (k, l) and (m, n) give the same p, and J (x) J on the low qubits leaves
+    # p00 p11 + p11 p00 - p01 p10 - p10 p01. Each vector's terms are summed
+    # in the same order alone as in a batch, so a row keeps its bits. Equals
+    # 2 H^2 as a complex number, for each length-16 vector along the last axis.
+    t = amplitudes.reshape(*amplitudes.shape[:-1], 8, 2)
+    p = np.add.reduce(_EPSILON_SIGNS * t[..., :, :, None] * t[..., ::-1, None, :], axis=-3)
+    return 2.0 * (p[..., 0, 0] * p[..., 1, 1] - p[..., 0, 1] * p[..., 1, 0])
 
 
 def tau4_epsilon_oracle(state: MultiQubitState) -> float:
-    """Four-tangle by epsilon contraction over all 2^16 terms.
+    """Four-tangle by the 2^16-term epsilon contraction, formed from its nonzero terms.
 
     Returns ``2 |sum|`` on the normalized amplitudes. Agrees with the
     spin-flip m-tangle and with ``4|H|^2``.
     """
     if state.num_qubits != 4:
         raise WrongQubitCountError(f"the four-tangle needs 4 qubits, got {state.num_qubits}")
-    return float(2.0 * abs(_tau4_contraction(state._unit)))
+    # np.abs, as the batch route takes it: Python's abs of a numpy complex
+    # rounds the modulus by another formula and differs in the last bit.
+    return float(2.0 * np.abs(_tau4_contraction(state._unit)))
 
 
 def _ratio(numerator: float, denominator: float) -> float:
@@ -246,7 +254,11 @@ class Tau4IdentityReport:
             "abs_H_sq": self.abs_h_sq,
             "four_abs_H_sq": self.four_abs_h_sq,
             "four_abs_I1_sq": self.four_abs_i1_sq,
-            "ratios": dict(self.ratios),
+            # A ratio with a zero denominator is NaN, which JSON cannot hold.
+            "ratios": {
+                name: value if math.isfinite(value) else None
+                for name, value in self.ratios.items()
+            },
             "note": self.note,
         }
 

@@ -87,7 +87,7 @@ def _images(coords: np.ndarray) -> np.ndarray:
     scales, and squares in range at all."""
     scaled = _scaled_parts(coords)[0].view(complex)
     weights = np.abs(scaled) ** 2
-    image = -0.5 * (weights[..., 1:] / weights.sum(axis=-1, keepdims=True))
+    image = -0.5 * (weights[..., 1:] / np.add.reduce(weights, axis=-1, keepdims=True))
     return image + 0.0  # never expose -0.0
 
 

@@ -106,8 +106,8 @@ def _invalid_rows(
     The one rule behind :class:`MultiQubitState`, :class:`ProjectivePoint`,
     :func:`~qtoric.analyzer.analyze_many` and ``qtoric analyze DIR``.
     """
-    finite = np.isfinite(rows).all(axis=1).tolist()
-    nonzero = rows.any(axis=1).tolist()
+    finite = np.logical_and.reduce(np.isfinite(rows), axis=1).tolist()
+    nonzero = np.logical_or.reduce(rows != 0, axis=1).tolist()
     return {
         i: NonFiniteAmplitudeError(f"{what} contain NaN or infinite entries")
         if not f
@@ -184,11 +184,19 @@ class MultiQubitState:
         own: normalizing it again returns the same bits. The vector was
         validated with this state, so it is not validated a second time.
         """
-        unit = object.__new__(MultiQubitState)
-        object.__setattr__(unit, "num_qubits", self.num_qubits)
-        object.__setattr__(unit, "amplitudes", self._unit)
+        unit = _prechecked_state(self.num_qubits, self._unit)
         object.__setattr__(unit, "_unit", self._unit)
         return unit
+
+
+def _prechecked_state(num_qubits: int, amplitudes: np.ndarray) -> MultiQubitState:
+    """A :class:`MultiQubitState` built without the copy and the checks of
+    ``__post_init__``, for a read-only complex vector of ``2**num_qubits``
+    amplitudes that has passed them, or :func:`_invalid_rows`, already."""
+    state = object.__new__(MultiQubitState)
+    object.__setattr__(state, "num_qubits", num_qubits)
+    object.__setattr__(state, "amplitudes", amplitudes)
+    return state
 
 
 def unit_vectors(amplitudes) -> tuple[np.ndarray, np.ndarray]:
@@ -203,7 +211,7 @@ def unit_vectors(amplitudes) -> tuple[np.ndarray, np.ndarray]:
     A norm past the float range is inf; the unit vector stays finite.
     """
     scaled, exponent = _scaled_parts(amplitudes)
-    length = np.sqrt(np.square(scaled).sum(axis=-1, keepdims=True))
+    length = np.sqrt(np.add.reduce(np.square(scaled), axis=-1, keepdims=True))
     with np.errstate(over="ignore"):
         norms = np.ldexp(length[..., 0], exponent[..., 0])
     return (scaled / length).view(complex), norms
@@ -214,7 +222,7 @@ def _scaled_parts(amplitudes) -> tuple[np.ndarray, np.ndarray]:
     times the power of two that brings its largest part into [1/2, 1), and
     the exponent that undoes it."""
     parts = np.ascontiguousarray(amplitudes, dtype=complex).view(float)
-    _, exponent = np.frexp(np.abs(parts).max(axis=-1, keepdims=True))
+    _, exponent = np.frexp(np.maximum.reduce(np.abs(parts), axis=-1, keepdims=True))
     return np.ldexp(parts, -exponent), exponent
 
 
@@ -322,8 +330,13 @@ def segre_embed(factors: Sequence[QubitFactor]) -> MultiQubitState:
     if not factors:
         raise EmptyFactorListError("need at least one factor")
     check_qubit_count(len(factors))
-    amplitudes = _product_amplitudes(np.array([(f.a0, f.a1) for f in factors]))
-    return MultiQubitState(len(factors), amplitudes)
+    amplitudes = _product_amplitudes(np.array([(f.a0, f.a1) for f in factors], dtype=complex))
+    # The factors are finite and nonzero, but their product can overflow or
+    # underflow: the one rule of MultiQubitState refuses it as it would.
+    for error in _invalid_rows(amplitudes[None]).values():
+        raise error
+    amplitudes.setflags(write=False)
+    return _prechecked_state(len(factors), amplitudes)
 
 
 def _product_amplitudes(factors: np.ndarray) -> np.ndarray:

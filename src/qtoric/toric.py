@@ -630,9 +630,11 @@ def largest_minors(unit) -> np.ndarray:
 
     The rows go to the kernel in blocks of as many whole rows as fill
     ``_BLOCK`` entries with one tile of each flattening, at least one row,
-    each block's flattenings gathered just before its call. So up to m = 6,
-    where a block's single tiles hold at most ``_BLOCK`` entries, the
-    temporaries that form them come from the heap.
+    each block's flattenings gathered just before its call, both rows in one
+    take. So up to m = 6, where a block's single tiles hold at most
+    ``_BLOCK`` entries, the temporaries that form them come from the heap.
+    From m = 7 a block holds one row, so each half of its gather is
+    contiguous and the kernel's reshapes and flat takes copy nothing.
     """
     unit, m = _state_rows(unit, "the Segre certificate")
     columns = _flattening_columns(m)
@@ -640,8 +642,7 @@ def largest_minors(unit) -> np.ndarray:
     per_block = max(1, _BLOCK // (m * side * side))
     worst = np.empty(len(unit))
     for start in range(0, len(unit), per_block):
-        rows = unit[start : start + per_block]
-        r0, r1 = rows.take(columns[0], axis=1), rows.take(columns[1], axis=1)
+        r0, r1 = unit[start : start + per_block].take(columns, axis=1).swapaxes(0, 1)
         worst[start : start + per_block] = _tiled_largest_minors(r0, r1)
     return worst
 
@@ -688,7 +689,7 @@ def _tiled_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
     count, m, n = r0.shape
     if n <= _TILE:
         d = r0[..., :, None] * r1[..., None, :]
-        return abs(d - d.swapaxes(2, 3)).max(axis=(1, 2, 3))
+        return np.maximum.reduce(abs(d - d.swapaxes(2, 3)), axis=(1, 2, 3))
     spans = [slice(i, i + _TILE) for i in range(0, n, _TILE)]
     last = len(spans) - 1
     prune = n > _PRUNE_COLUMNS
@@ -722,14 +723,14 @@ def _tiled_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
                 np.subtract(d, e, out=e)
             np.abs(e, out=a)
             top = worst[low : low + per_piece]
-            np.maximum(top, a.max(axis=(1, 2)), out=top)
+            np.maximum(top, np.maximum.reduce(a, axis=(1, 2)), out=top)
 
     if prune:
         form(last, last)
         tiles = _needed_tiles(r0, r1, heads, worst)
     for i, j in tiles:
         form(i, j)
-    return worst.reshape(count, m).max(axis=1)
+    return np.maximum.reduce(worst.reshape(count, m), axis=1)
 
 
 def _needed_tiles(
@@ -766,25 +767,25 @@ def _needed_tiles(
     rows, m, _ = heads.shape
 
     def needed_by(bound):
-        lower = best.reshape(rows, m).max(axis=1)
+        lower = np.maximum.reduce(best.reshape(rows, m), axis=1)
         threshold = np.where(lower >= _TINY, lower / (1.0 + _SLACK), -1.0)
-        needed = (bound > threshold[:, None, None, None]).any(axis=(0, 1))
+        needed = np.logical_or.reduce(bound > threshold[:, None, None, None], axis=(0, 1))
         needed[-1, -1] = False  # formed first
         return needed
 
     heads = np.where(heads == 0, np.nan, heads)
     head_i, head_j = heads[..., :, None], heads[..., None, :]
     hadamard = head_i * head_j
-    if not needed_by(hadamard).any():
+    if not np.logical_or.reduce(needed_by(hadamard), axis=None):
         return []
     pivot = np.abs(r0 * r1[:, -1:] - r0[:, -1:] * r1)
-    np.maximum(best, pivot.max(axis=1), out=best)
-    reach = pivot.reshape(heads.shape + (-1,)).max(axis=3)
+    np.maximum(best, np.maximum.reduce(pivot, axis=1), out=best)
+    reach = np.maximum.reduce(pivot.reshape(heads.shape + (-1,)), axis=3)
     pluecker = head_i * reach[..., None, :] + head_j * reach[..., :, None]
     pluecker /= heads[..., -1:, None]
     pluecker += _MINOR_ERROR * hadamard
     needed = needed_by(np.minimum(hadamard, pluecker))
-    return [(i, j) for i, j in zip(*np.nonzero(needed)) if i <= j]  # the bounds are symmetric
+    return [(i, j) for i, j in zip(*needed.nonzero()) if i <= j]  # the bounds are symmetric
 
 
 def max_segre_residual(state: MultiQubitState) -> float:

@@ -1,5 +1,8 @@
 import importlib
 import math
+import os
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -137,12 +140,39 @@ def test_benchmark_tracer_sees_every_measure(monkeypatch):
         assert name in recorded
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_analyze_calls_no_numpy_python_wrappers(m):
+    # ndarray.max, .sum, .any and .all and np.sum reach their ufuncs through
+    # Python wrappers in numpy's _methods.py and fromnumeric.py, which on
+    # small states cost more than the arithmetic; analyze calls the ufunc
+    # reductions directly. numpy 2 keeps both files in numpy/_core, and
+    # numpy 1 in numpy/core. The states are fresh, so their unit vectors
+    # are formed under the profile too.
+    rng = np.random.default_rng(95 + m)
+    wrapper = re.compile(r"numpy/_?core/(_methods|fromnumeric)\.py$")
+    called = []
+
+    def profile(frame, event, arg):
+        path = frame.f_code.co_filename.replace(os.sep, "/")
+        if event == "call" and wrapper.search(path):
+            called.append(f"{path}:{frame.f_code.co_name}")
+
+    entangled = MultiQubitState(m, 3 * random_state(rng, m).amplitudes)
+    for state, separable in ((entangled, False), (random_product_state(rng, m), True)):
+        sys.setprofile(profile)
+        try:
+            report = analyze(state)
+        finally:
+            sys.setprofile(None)
+        assert report.separable == separable
+        assert called == []
+
+
 @pytest.mark.parametrize("m", range(2, 10))
 def test_analyze_builds_one_state(m, monkeypatch):
-    # Every stage starts from the state's cached unit vector. The factors
-    # are extracted only past the residual gate, so analyze builds no state
-    # for an entangled input and one for a product: the product that
-    # segre_embed forms in extract_factors.
+    # Every stage starts from the state's cached unit vector, so analyze
+    # validates no state: not for an entangled input, and not for a product,
+    # whose embedded product segre_embed checks by _invalid_rows alone.
     rng = np.random.default_rng(90 + m)
     validate = MultiQubitState.__post_init__
     built = []
@@ -152,10 +182,10 @@ def test_analyze_builds_one_state(m, monkeypatch):
         validate(self)
 
     monkeypatch.setattr(MultiQubitState, "__post_init__", counted)
-    for state, count in ((random_state(rng, m), 0), (random_product_state(rng, m), 1)):
+    for state, separable in ((random_state(rng, m), False), (random_product_state(rng, m), True)):
         built.clear()
-        assert analyze(state).separable == bool(count)
-        assert len(built) == count
+        assert analyze(state).separable == separable
+        assert built == []
 
 
 def test_reports_factor_only_rows_past_the_residual_gate(monkeypatch):
@@ -362,6 +392,19 @@ def test_analyze_many_matches_analyze(m, kinds, transform, seed):
             state = apply_local(state, [random_sl2(rng) for _ in range(m)])
         states.append(state)
     _assert_batch_matches_scalar([s.amplitudes for s in states])
+
+
+@pytest.mark.bitexact
+def test_analyze_many_tau4_epsilon_is_analyze_to_the_bit():
+    # Both routes form the epsilon contraction by one kernel and take its
+    # modulus by np.abs.
+    rng = np.random.default_rng(67)
+    states = [random_state(rng, 4) for _ in range(20)]
+    states += [random_product_state(rng, 4) for _ in range(5)]
+    states += [named_state(name) for name in ("ghz4", "0110")]
+    rows = np.stack([s.amplitudes for s in states])
+    got = [r.measures["tau4_epsilon"] for r in analyze_many(rows)]
+    assert got == [analyze(MultiQubitState(4, row)).measures["tau4_epsilon"] for row in rows]
 
 
 @pytest.mark.bitexact

@@ -806,6 +806,20 @@ def test_invariants_json():
     assert abs(data["ratios"]["tau4_spinflip/abs_h_sq"] - 4) < 1e-9
 
 
+def test_invariants_json_is_strict_json(capsys):
+    # A ratio with an exactly zero denominator, as every ratio of a basis
+    # state is, is written as null: NaN and Infinity are not JSON. The text
+    # keeps nan.
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    assert main(["invariants", "--state", "0000", "--format", "json"]) == 0
+    ratios = json.loads(capsys.readouterr().out, parse_constant=refuse)["ratios"]
+    assert list(ratios.values()) == [None] * 5
+    assert main(["invariants", "--state", "0000"]) == 0
+    assert "tau4_spinflip/abs_h_sq = nan" in capsys.readouterr().out
+
+
 # --- polytope ------------------------------------------------------------------------
 
 

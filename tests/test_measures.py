@@ -326,6 +326,21 @@ def test_tau4_contraction_matches_dense_sum():
         assert abs(_tau4_contraction(a) - dense) <= 1e-15
 
 
+@pytest.mark.bitexact
+def test_tau4_contraction_rows_keep_their_bits():
+    # Each row of a batch is summed in the order of the same vector alone.
+    from qtoric.measures import _tau4_contraction
+
+    rng = np.random.default_rng(61)
+    for count in (1, 2, 5, 64):
+        states = [random_state(rng, 4) for _ in range(count - count // 4)]
+        states += [random_product_state(rng, 4) for _ in range(count // 4)]
+        rows = np.stack([s.amplitudes for s in states])
+        batch = _tau4_contraction(rows)
+        assert batch.shape == (count,)
+        assert batch.tolist() == [complex(_tau4_contraction(row)) for row in rows]
+
+
 def test_tau4_epsilon_bit_stable():
     rng = np.random.default_rng(58)
     s = random_state(rng, 4)

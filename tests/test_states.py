@@ -139,6 +139,19 @@ def test_segre_embed_bit_identical_to_kron():
         assert np.array_equal(segre_embed(factors).amplitudes, expected)
 
 
+def test_segre_embed_refuses_products_out_of_range():
+    # The factors are finite and nonzero, but their product can overflow or
+    # underflow; it is refused by the rule of MultiQubitState, with its errors.
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteAmplitudeError):
+        segre_embed([QubitFactor(1e200, 1)] * 2)
+    with pytest.raises(ZeroStateError):
+        segre_embed([QubitFactor(1e-200, 0)] * 2)
+    state = segre_embed([QubitFactor(1, 2j), QubitFactor(3, 1)])
+    assert not state.amplitudes.flags.writeable
+    assert state.num_qubits == 2 and type(state.num_qubits) is int
+    assert state == MultiQubitState(2, [3, 1, 6j, 2j])
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_segre_embed_lands_on_variety(m):
     rng = np.random.default_rng(100 + m)

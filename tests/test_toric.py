@@ -1088,7 +1088,8 @@ def test_largest_minors_bit_identical_property(m, rows, seed):
 def test_largest_minors_checks_its_shape():
     # Only the shape: rows must also be finite and unit-normalized, which the
     # callers have already checked.
-    assert largest_minors(np.ones((0, 8))).shape == (0,)
+    for width in (8, 1 << 7, 1 << 8):  # one tile, every tile, pruned tiles
+        assert largest_minors(np.ones((0, width))).shape == (0,)
     for shape in ((1, 6), (1, 0), (8,), (1, 2, 4)):
         with pytest.raises(LengthMismatchError):
             largest_minors(np.ones(shape))
