@@ -33,12 +33,10 @@ _EXPORTS = {
         "point_from_dict",
     ),
     "moment": (
-        "BoxPolytope",
         "moment_projective",
         "moment_product",
         "fixed_point_images",
         "s1_moment_disk",
-        "in_polytope",
     ),
     "toric": (
         "LatticePolytope",

@@ -604,19 +604,17 @@ def build_parser() -> argparse.ArgumentParser:
     stated.add_argument(
         "--state", metavar="NAME", help="named fixture: bell, ghz<m>, w3, or a bitstring"
     )
-    judged = _Parser(add_help=False, parents=[stated])
-    judged.add_argument(
-        "--tol", type=float, default=DEFAULT_TOLERANCE, help="numeric tolerance"
-    )
+    tolerance = dict(type=float, default=DEFAULT_TOLERANCE, help="numeric tolerance")
 
     parser = _Parser(prog="qtoric", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"qtoric {__version__}")
     commands = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     analyze_p = commands.add_parser(
-        "analyze", parents=[judged], help="separability report for a state (or a directory)"
+        "analyze", parents=[stated], help="separability report for a state (or a directory)"
     )
     analyze_p.add_argument("path", nargs="?", help="state JSON file or directory")
+    analyze_p.add_argument("--tol", **tolerance)
     analyze_p.set_defaults(run=_cmd_analyze)
 
     segre_p = commands.add_parser(
@@ -628,12 +626,15 @@ def build_parser() -> argparse.ArgumentParser:
     segre_p.set_defaults(run=_cmd_segre)
 
     moment_p = commands.add_parser(
-        "moment", parents=[judged], help="moment-map image of a product state or point"
+        "moment", parents=[stated], help="moment-map image of a product state or point"
     )
     moment_p.add_argument("path", nargs="?", help="state (or point) JSON file")
-    moment_p.add_argument(
+    # Only a state's verdict reads the tolerance; a projective point has none.
+    point_or_tol = moment_p.add_mutually_exclusive_group()
+    point_or_tol.add_argument(
         "--projective", action="store_true", help="treat the file as a projective point"
     )
+    point_or_tol.add_argument("--tol", **tolerance)
     moment_p.set_defaults(run=_cmd_moment)
 
     tangle_p = commands.add_parser(

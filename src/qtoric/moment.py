@@ -16,7 +16,6 @@ defined on tuples of single-qubit factors, not on the ambient state space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,46 +28,11 @@ from .errors import (
 from .states import ProjectivePoint, QubitFactor, _scaled_parts
 
 __all__ = [
-    "BoxPolytope",
     "moment_projective",
     "moment_product",
     "fixed_point_images",
     "s1_moment_disk",
-    "in_polytope",
 ]
-
-
-@dataclass(frozen=True)
-class BoxPolytope:
-    """An axis-aligned box, one closed real interval per axis."""
-
-    lows: np.ndarray
-    highs: np.ndarray
-
-    def __post_init__(self) -> None:
-        lows = np.array(self.lows, dtype=float, copy=True).reshape(-1)
-        highs = np.array(self.highs, dtype=float, copy=True).reshape(-1)
-        if lows.size != highs.size:
-            raise DimensionMismatchError("lower and upper bounds differ in length")
-        if lows.size == 0:
-            raise DimensionMismatchError("a box needs at least one axis")
-        if not (np.isfinite(lows).all() and np.isfinite(highs).all()):
-            raise NonFiniteAmplitudeError("box bounds must be finite")
-        if np.any(lows > highs):
-            raise DimensionMismatchError("every axis needs lo <= hi")
-        lows.setflags(write=False)
-        highs.setflags(write=False)
-        object.__setattr__(self, "lows", lows)
-        object.__setattr__(self, "highs", highs)
-
-    @property
-    def dim(self) -> int:
-        return self.lows.size
-
-    @classmethod
-    def moment_box(cls, dim: int) -> "BoxPolytope":
-        """The moment polytope ``[-1/2, 0]^dim`` of a product of lines."""
-        return cls(np.full(dim, -0.5), np.zeros(dim))
 
 
 def moment_projective(point: ProjectivePoint) -> np.ndarray:
@@ -128,12 +92,3 @@ def s1_moment_disk(vector) -> float:
         raise NonFiniteAmplitudeError("vector contains NaN or infinite entries")
     return float(0.5 - 0.5 * np.linalg.norm(arr) ** 2)
 
-
-def in_polytope(image, box: BoxPolytope, tol: float) -> bool:
-    """Whether every coordinate of ``image`` is within ``tol`` of the box."""
-    arr = np.asarray(image, dtype=float).reshape(-1)
-    if arr.size != box.dim:
-        raise DimensionMismatchError(
-            f"image has {arr.size} coordinates, box has {box.dim} axes"
-        )
-    return bool(np.all(arr >= box.lows - tol) and np.all(arr <= box.highs + tol))

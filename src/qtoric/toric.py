@@ -16,10 +16,10 @@ The relations on axis ``j`` are exactly the 2x2 minors of the flattening
 that splits qubit ``j`` from the rest, the 2 x 2^(m-1) matrix whose rows are
 the amplitudes with bit ``j`` clear and set (Landsberg, *Tensors: Geometry
 and Applications*, 2012). :func:`largest_minors` finds the largest of them
-directly, in square tiles of the minor matrices: up to m = 7 from every
-tile, and from m = 8 skipping the tiles that Hadamard's inequality on the
-column norms or the three-term Pluecker relations rule out, with the same
-result to the bit.
+directly, in square tiles of the minor matrices. From m = 7, where a
+minor matrix holds more than one tile, it skips the tiles that Hadamard's
+inequality on the column norms or the three-term Pluecker relations rule
+out, with the same result to the bit.
 :func:`relation_table` enumerates the relations as an integer array, and
 :func:`segre_relations` wraps its rows as objects up to m = 8.
 
@@ -564,10 +564,6 @@ of as many whole rows as fill a buffer with one tile of each flattening, at
 least one row, and :func:`_tiled_largest_minors` forms each tile of a call in
 equal pieces of at most this many entries."""
 
-_PRUNE_COLUMNS = 64
-"""Flattenings of more columns than this, m >= 8, skip tiles by the bounds;
-smaller ones cost less whole than the bounds cost."""
-
 _SLACK = 2.0**-32
 """Relative margin of the skip threshold L / (1 + _SLACK): a bound that
 rounding left up to 2^21 u too small (u = 2^-53) skips nothing it must not.
@@ -617,16 +613,15 @@ def largest_minors(unit) -> np.ndarray:
     ``r0`` first, and the result is the maximum of the whole minor matrix to
     the bit.
 
-    Up to m = 7 every minor is formed; up to m = 6 a flattening's minor
-    matrix is a single tile, formed in one expression. Above m = 7,
-    :func:`_tiled_largest_minors` skips the tiles of the minor matrices that
-    a bound rules out. Hadamard's bound skips every tile but the heaviest on
-    states far from the Segre variety: at m = 12 it forms one tile of
-    32 x 32 in each 2048 x 2048 minor matrix. A bound from the Pluecker
-    relations keeps a few dozen tiles of exact and near products, and no
-    tile of a zero column is formed, so a basis state forms only the
-    heaviest. States whose columns all weigh the same, such as uniform and
-    graph states, still form every tile, at O(m 4^m).
+    Up to m = 6 a flattening's minor matrix is a single tile, formed in one
+    expression. From m = 7, :func:`_tiled_largest_minors` skips the tiles
+    of the minor matrices that a bound rules out. Hadamard's bound skips
+    every tile but the heaviest on states far from the Segre variety: at
+    m = 12 it forms one tile of 32 x 32 in each 2048 x 2048 minor matrix.
+    A bound from the Pluecker relations keeps a few dozen tiles of exact
+    and near products, and no tile of a zero column is formed, so a basis
+    state forms only the heaviest. States whose columns all weigh the same,
+    such as uniform and graph states, still form every tile, at O(m 4^m).
 
     The rows go to the kernel in blocks of as many whole rows as fill
     ``_BLOCK`` entries with one tile of each flattening, at least one row,
@@ -673,37 +668,31 @@ def _tiled_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
     transpose of its first. Up to ``_TILE`` columns (m <= 6) the one
     diagonal tile is formed in one expression, with the same operations in
     the same order; its temporaries hold as many entries as the call, which
-    :func:`largest_minors` keeps within ``_BLOCK``. Above, each tile is
-    formed at once for every flattening of the call, in three buffers, in
-    equal pieces of at most ``_BLOCK`` entries.
+    :func:`largest_minors` keeps within ``_BLOCK``.
 
-    Above ``_PRUNE_COLUMNS`` columns, each flattening's columns are sorted
-    by their norm ``hypot(|r0|, |r1|)``. The last tile, of the heaviest
-    columns, is formed first, and its largest minor over a row's m
-    flattenings is a lower bound L of the row's answer; :func:`_needed_tiles`
-    then picks, once per call, the tiles that a bound cannot rule out on
-    every flattening of the call. A skipped minor cannot exceed L and every
-    other one is formed as without the skip, so the result is the same to
-    the bit.
+    Above ``_TILE`` columns (m >= 7), each flattening's columns are sorted
+    by their norm ``hypot(|r0|, |r1|)``, and each tile is formed at once for
+    every flattening of the call, in three buffers, in equal pieces of at
+    most ``_BLOCK`` entries. The last tile, of the heaviest columns, is
+    formed first, and its largest minor over a row's m flattenings is a
+    lower bound L of the row's answer; :func:`_needed_tiles` then picks,
+    once per call, the tiles that a bound cannot rule out on every
+    flattening of the call. A skipped minor cannot exceed L and every other
+    one is formed as without the skip, so the result is the same to the bit.
     """
     count, m, n = r0.shape
     if n <= _TILE:
         d = r0[..., :, None] * r1[..., None, :]
         return np.maximum.reduce(abs(d - d.swapaxes(2, 3)), axis=(1, 2, 3))
     spans = [slice(i, i + _TILE) for i in range(0, n, _TILE)]
-    last = len(spans) - 1
-    prune = n > _PRUNE_COLUMNS
-    if prune:
-        norms = np.empty(r0.shape, dtype=complex)
-        np.abs(r0, out=norms.real)
-        np.abs(r1, out=norms.imag)
-        norms = np.abs(norms)  # complex abs is a scaled hypot: no square underflows
-        order = norms.argsort(axis=2)
-        order += np.arange(0, r0.size, n).reshape(count, m, 1)
-        r0, r1 = r0.take(order), r1.take(order)
-        heads = norms.take(order[:, :, _TILE - 1 :: _TILE])  # each tile's heaviest column
-    else:
-        tiles = [(i, j) for i in range(last + 1) for j in range(i, last + 1)]
+    norms = np.empty(r0.shape, dtype=complex)
+    np.abs(r0, out=norms.real)
+    np.abs(r1, out=norms.imag)
+    norms = np.abs(norms)  # complex abs is a scaled hypot: no square underflows
+    order = norms.argsort(axis=2)
+    order += np.arange(0, r0.size, n).reshape(count, m, 1)
+    r0, r1 = r0.take(order), r1.take(order)
+    heads = norms.take(order[:, :, _TILE - 1 :: _TILE])  # each tile's heaviest column
     r0, r1 = r0.reshape(-1, n), r1.reshape(-1, n)
     per_piece = math.ceil(len(r0) / math.ceil(len(r0) * _TILE * _TILE / _BLOCK))
     products = np.empty((per_piece, _TILE, _TILE), dtype=complex)
@@ -725,10 +714,8 @@ def _tiled_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
             top = worst[low : low + per_piece]
             np.maximum(top, np.maximum.reduce(a, axis=(1, 2)), out=top)
 
-    if prune:
-        form(last, last)
-        tiles = _needed_tiles(r0, r1, heads, worst)
-    for i, j in tiles:
+    form(-1, -1)  # the heaviest tile
+    for i, j in _needed_tiles(r0, r1, heads, worst):
         form(i, j)
     return np.maximum.reduce(worst.reshape(count, m), axis=1)
 

@@ -1037,6 +1037,29 @@ def test_options_a_command_does_not_read_are_usage_errors(argv, capsys):
     assert captured.err.startswith(f"usage: qtoric {argv[0]} [-h]")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moment", "--projective", "{point}", "--tol", "0.5"),
+        ("moment", "--tol", "1e-10", "--projective", "{point}"),
+    ],
+)
+def test_moment_projective_refuses_tol(tmp_path, capsys, argv):
+    # A projective point's image reads no tolerance, so --tol with
+    # --projective is a usage error, in either order and at any value.
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"coords": [[1, 0], [1, 0]]}))
+    with pytest.raises(SystemExit) as exit_:
+        main([arg.format(point=point) for arg in argv])
+    assert exit_.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+    assert captured.err.startswith("usage: qtoric moment [-h]")
+    assert main(["moment", "--projective", str(point)]) == 0
+    assert capsys.readouterr().out == "moment image: (-0.25)\ninside [-1/2, 0]^1: true\n"
+
+
 def test_nonpositive_tol_rejected():
     for tol in ("-1", "inf", "nan"):
         result = run_cli("analyze", "--state", "bell", "--tol", tol)

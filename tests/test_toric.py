@@ -771,7 +771,7 @@ def _unit(amplitudes):
 def _certificate_states(rng, m):
     """One unit vector of each kind that the certificate treats differently.
 
-    From m = 8 the Hadamard bound skips every tile but the heaviest on the
+    From m = 7 the Hadamard bound skips every tile but the heaviest on the
     first four and on a basis state 1e-170 off, whose minors among the noise
     are subnormal, and some tiles on the SL(2, C) images of GHZ and W. On
     products, near products and their SL(2, C) images it rules out none; the
@@ -833,8 +833,7 @@ def _certificate_states(rng, m):
 def test_largest_minors_bit_identical_to_dense_matrix(m):
     # Every kind of state against the dense oracle, in one batch and one at a
     # time through max_segre_residual. Up to m = 6 each flattening is one
-    # tile, formed in one expression; at m = 7 the kernel forms every minor
-    # in tiles that pack several flattenings; from m = 8 it skips tiles, and
+    # tile, formed in one expression; from m = 7 the kernel skips tiles, and
     # the batch mixes rows that skip with rows that form every tile. None
     # may change a single bit of the maximum.
     rng = np.random.default_rng(40 + m)
@@ -919,14 +918,17 @@ def test_largest_minors_finds_maxima_outside_the_heaviest_tile(monkeypatch):
 @pytest.mark.bitexact
 def test_largest_minors_skips_tiles(monkeypatch):
     # Every bit-identity test also passes a kernel that never skips a tile.
-    # The kernel must form only a few of the (n / _TILE)^2 tile products of
-    # each flattening: by the Hadamard bound on states far from the Segre
-    # variety and on a basis state 1e-160 off, whose minors among the noise
-    # are subnormal; by the zero columns on an exact basis state, whose
-    # lower bound is zero; and by the Pluecker bound on exact products and
-    # products 1e-9 off, where the Hadamard bound rules out no tile.
+    # The kernel must form fewer than the (n / _TILE)^2 tile products of
+    # each flattening, and from m = 10 only a few: by the Hadamard bound on
+    # states far from the Segre variety and on a basis state 1e-160 off,
+    # whose minors among the noise are subnormal; by the zero columns on an
+    # exact basis state, whose lower bound is zero; and by the Pluecker
+    # bound on exact products and products 1e-9 off, where the Hadamard
+    # bound rules out no tile. At m = 7, the smallest m with more than one
+    # tile, the first four form only the heaviest tile. m = 7 draws last,
+    # so that m = 10 and 12 keep the states their limits were set on.
     rng = np.random.default_rng(57)
-    for m in (10, 12):
+    for m, per_product in ((10, 40), (12, 40), (7, 3)):
         size = 1 << m
         noise = _unit(rng.standard_normal(size) + 1j * rng.standard_normal(size))
         basis = np.zeros(size)
@@ -938,14 +940,14 @@ def test_largest_minors_skips_tiles(monkeypatch):
             (named_state(f"ghz{m}").amplitudes + 1e-3 * noise, m),
             (basis + 1e-160 * noise, m),
             (basis, m),
-            (product, 40 * m),
-            (product + 1e-9 * noise, 40 * m),
+            (product, per_product * m),
+            (product + 1e-9 * noise, per_product * m),
         ):
             unit = _unit(state)
             r0, r1 = unit[None].take(columns[0], axis=1), unit[None].take(columns[1], axis=1)
             got, formed = _tiles_formed(monkeypatch, r0, r1)
             assert got == [_dense_largest_minor(unit, m)]
-            assert formed <= limit < m * (r0.shape[2] // _TILE) ** 2 // 4
+            assert formed <= limit < m * (r0.shape[2] // _TILE) ** 2
 
 
 def _pluecker_bound(r0, r1):
