@@ -17,6 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "states": (
         "MAX_QUBITS",
+        "DEFAULT_TOLERANCE",
         "MultiQubitState",
         "QubitFactor",
         "ProjectivePoint",
@@ -41,7 +42,6 @@ _EXPORTS = {
     "toric": (
         "LatticePolytope",
         "ExponentSet",
-        "BinomialRelation",
         "Cone",
         "Fan",
         "DelzantFailure",
@@ -51,13 +51,15 @@ _EXPORTS = {
         "unit_cube_exponents",
         "delzant_check",
         "normal_fan_box",
+        "verify_beta_balance",
+    ),
+    "segre": (
+        "BinomialRelation",
         "MAX_RELATION_QUBITS",
-        "DEFAULT_TOLERANCE",
         "relation_table",
         "segre_relations",
         "relation_residual",
         "max_segre_residual",
-        "verify_beta_balance",
     ),
     "measures": (
         "J",

@@ -25,17 +25,19 @@ import numpy as np
 from .errors import WrongQubitCountError
 from .measures import (
     _h_sum,
-    _hyperdet3,
     _i1_rows,
     _m_tangle_rows,
     _tau4_contraction,
+    _three_tangle_rows,
     check_tau4_identities,
     concurrence,
     m_tangle,
     three_tangle,
 )
 from .moment import _images, moment_product
+from .segre import largest_minors, max_segre_residual
 from .states import (
+    DEFAULT_TOLERANCE,
     MAX_QUBITS,
     MultiQubitState,
     QubitFactor,
@@ -46,7 +48,6 @@ from .states import (
     segre_embed,
     unit_vectors,
 )
-from .toric import DEFAULT_TOLERANCE, largest_minors, max_segre_residual
 
 __all__ = [
     "AnalysisReport",
@@ -262,7 +263,7 @@ def _measures_many(unit: np.ndarray) -> dict[str, np.ndarray]:
     if m == 2:
         return {"concurrence": _m_tangle_rows(unit)}
     if m == 3:
-        return {"three_tangle": 4.0 * np.abs(_hyperdet3(unit))}
+        return {"three_tangle": _three_tangle_rows(unit)}
     if m == 4:
         return {
             "m_tangle": _m_tangle_rows(unit),

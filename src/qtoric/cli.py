@@ -30,7 +30,9 @@ import numpy as np
 
 from . import __version__
 from .errors import QToricError, SchemaError, WrongQubitCountError
+from .segre import RELATION_TEXT, max_segre_residual, relation_table
 from .states import (
+    DEFAULT_TOLERANCE,
     MultiQubitState,
     QubitFactor,
     _invalid_rows,
@@ -42,22 +44,21 @@ from .states import (
     segre_embed,
     state_from_dict,
     state_to_dict,
+    unit_vectors,
 )
-from .toric import DEFAULT_TOLERANCE, RELATION_TEXT, cube, delzant_check, lattice_points
-from .toric import max_segre_residual, normal_fan_box, relation_table
 
-# The analyzer, the measures and the moment maps are imported inside the
-# commands that run them (analyze, moment, tangle, invariants), so segre,
-# polytope and embed do not pay for loading them.
+# The analyzer, the measures, the moment maps and the polytope code are
+# imported inside the commands that run them (analyze, moment, tangle,
+# invariants, polytope), so no command loads what it does not run.
 if TYPE_CHECKING:
     from .analyzer import AnalysisReport
 
-# Not called here: benchmarks/tracer.py wraps these two and the analyzer's
-# analyze at these names (segre works from relation_table, and analyze runs
-# through _reports). analyze is bound on first access, by __getattr__. The
-# tracer also wraps _emit_json, inside which the rows render lazily, and
-# _relation_dict, now the segre row schema, called once per command.
-from .toric import relation_residual, segre_relations  # noqa: F401
+# Not called here: benchmarks/tracer.py wraps these two of .segre and the
+# analyzer's analyze at these names (segre works from relation_table, and
+# analyze runs through _reports). analyze is bound on first access, by
+# __getattr__. The tracer also wraps _emit_json, inside which the rows
+# render lazily, and _relation_dict, the segre row schema, once per command.
+from .segre import relation_residual, segre_relations  # noqa: F401
 
 
 def __getattr__(name):
@@ -267,7 +268,7 @@ def _cmd_analyze(args) -> int:
 
 def _analyze_directory(args, target: str) -> int:
     """One report per state file; a file that fails gets an error record instead."""
-    from .analyzer import analyze_many
+    from .analyzer import _reports
 
     # Sorted as strings, which on POSIX is the order of the Path objects.
     paths = sorted(map(str, Path(target).glob("*.json")))
@@ -287,17 +288,17 @@ def _analyze_directory(args, target: str) -> int:
             outcomes[k] = str(exc)
         else:
             groups.setdefault(m, []).append((k, amplitudes))
-    for members in groups.values():
+    for m, members in groups.items():
         positions, rows = zip(*members)
         batch = np.stack(rows)
         invalid = _invalid_rows(batch)
         for i, error in invalid.items():
             outcomes[positions[i]] = str(error)
         valid = [i for i in range(len(positions)) if i not in invalid]
-        try:
-            results = analyze_many(batch[valid], args.tol) if valid else []
-        except QToricError as exc:
-            results = [str(exc)] * len(valid)
+        if m < 2:
+            results = ["analysis needs at least 2 qubits"] * len(valid)
+        else:
+            results = _reports(unit_vectors(batch[valid])[0], args.tol)
         for i, result in zip(valid, results):
             outcomes[positions[i]] = result
     names = [os.path.basename(path) for path in paths]
@@ -509,6 +510,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_polytope(args) -> int:
+    from .toric import cube, delzant_check, lattice_points, normal_fan_box
+
     if args.m is None:
         raise _CliError("polytope requires -m", code=1)
     if args.m < 1:

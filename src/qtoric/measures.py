@@ -86,11 +86,11 @@ def m_tangle(state: MultiQubitState) -> float:
         raise OddQubitCountError(
             f"the m-tangle is defined for even qubit counts, got {state.num_qubits}"
         )
-    return float(_m_tangle_rows(state._unit))
+    return float(_m_tangle_rows(state._unit[None])[0])
 
 
 def _m_tangle_rows(unit: np.ndarray):
-    """:func:`m_tangle` of each unit vector along the last axis of ``unit``, m even."""
+    """:func:`m_tangle` of each row of an (N, 2^m) array of unit vectors, m even."""
     m = unit.shape[-1].bit_length() - 1
     flipped = _flip_coefficients(m) * np.conj(unit[..., ::-1])
     return np.abs(np.add.reduce(np.conj(unit) * flipped, axis=-1)) ** 2
@@ -113,6 +113,11 @@ def _hyperdet3(a: np.ndarray):
     return b * b - 4 * (a0 * a3 - a1 * a2) * (a4 * a7 - a5 * a6)
 
 
+def _three_tangle_rows(unit: np.ndarray):
+    """:func:`three_tangle` of each row of an (N, 8) array of unit vectors."""
+    return 4.0 * np.abs(_hyperdet3(unit))
+
+
 def three_tangle(state: MultiQubitState) -> float:
     """Residual three-way entanglement: ``4 |d1 - 2 d2 + 4 d4|``.
 
@@ -121,7 +126,7 @@ def three_tangle(state: MultiQubitState) -> float:
     """
     if state.num_qubits != 3:
         raise WrongQubitCountError(f"the three-tangle needs 3 qubits, got {state.num_qubits}")
-    return float(4.0 * abs(_hyperdet3(state._unit)))
+    return float(_three_tangle_rows(state._unit[None])[0])
 
 
 _H_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
@@ -186,7 +191,7 @@ def invariant_I1(state: MultiQubitState) -> complex:
 
 
 def _i1_rows(unit: np.ndarray):
-    """:func:`invariant_I1` of one length-16 vector, or of each row of an (N, 16) array."""
+    """:func:`invariant_I1` of each row of an (N, 16) array."""
     return 0.5 * (_g(unit[..., 0:4], unit[..., 12:16]) - _g(unit[..., 4:8], unit[..., 8:12]))
 
 
@@ -213,9 +218,7 @@ def tau4_epsilon_oracle(state: MultiQubitState) -> float:
     """
     if state.num_qubits != 4:
         raise WrongQubitCountError(f"the four-tangle needs 4 qubits, got {state.num_qubits}")
-    # np.abs, as the batch route takes it: Python's abs of a numpy complex
-    # rounds the modulus by another formula and differs in the last bit.
-    return float(2.0 * np.abs(_tau4_contraction(state._unit)))
+    return float(2.0 * np.abs(_tau4_contraction(state._unit[None]))[0])
 
 
 def _ratio(numerator: float, denominator: float) -> float:
@@ -278,8 +281,8 @@ def check_tau4_identities(state: MultiQubitState) -> Tau4IdentityReport:
     # call time, so a caller that patches them here (a tracer) sees each call.
     tau_flip = m_tangle(state)
     tau_eps = tau4_epsilon_oracle(state)
-    h = complex(_h_sum(state._unit))
-    i1 = complex(_i1_rows(state._unit))
+    h = complex(_h_sum(state._unit[None])[0])
+    i1 = complex(_i1_rows(state._unit[None])[0])
     abs_h_sq = abs(h) ** 2
     four_abs_i1_sq = 4.0 * abs(i1) ** 2
     ratios = {

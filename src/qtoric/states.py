@@ -38,6 +38,7 @@ from .errors import (
 
 __all__ = [
     "MAX_QUBITS",
+    "DEFAULT_TOLERANCE",
     "check_qubit_count",
     "MultiQubitState",
     "QubitFactor",
@@ -62,6 +63,10 @@ __all__ = [
 MAX_QUBITS = 12
 """Largest qubit count of a state: 2^12 amplitudes. Larger counts are refused
 before anything of their size is allocated."""
+
+DEFAULT_TOLERANCE = 1e-10
+"""Default tolerance of the separability verdict: the residual gate passes a
+state whose largest relation residual is at most this."""
 
 
 def check_qubit_count(m: int, limit: int = MAX_QUBITS, what: str = "a state") -> None:

@@ -3,7 +3,7 @@
 Run as ``python tests/no_scipy_check.py`` in an environment where qtoric is
 importable; it exits 0 when every check passes and names the first failure
 otherwise. ``tests/test_toric.py`` runs it in a subprocess, and CI runs it
-from a bare ``pip install -e .``.
+from a bare ``pip install .``, the built package without its test extras.
 """
 
 import contextlib

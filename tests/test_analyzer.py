@@ -351,9 +351,8 @@ def _assert_batch_matches_scalar(rows, tol=qtoric.DEFAULT_TOLERANCE):
 
 
 def _assert_same_report(got, want):
-    # Both routes share every kernel behind the verdict, the factors and the
-    # moment image, so those agree to the bit; the scalar and batch measure
-    # kernels may differ in the last bits.
+    # Both routes share every kernel behind the verdict, the factors, the
+    # moment image and the measures, so all of them agree to the bit.
     assert got.num_qubits == want.num_qubits
     assert got.separable == want.separable
     assert got.tolerance == want.tolerance
@@ -368,7 +367,7 @@ def _assert_same_report(got, want):
     assert list(got.measures) == list(want.measures)
     for name, value in want.measures.items():
         assert type(got.measures[name]) is type(value)
-        assert abs(got.measures[name] - value) <= 1e-12, name
+        assert got.measures[name] == value, name
 
 
 @pytest.mark.bitexact

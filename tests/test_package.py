@@ -107,8 +107,8 @@ def test_star_import_binds_all():
 
 def test_commands_load_only_the_modules_they_run(tmp_path):
     # segre, polytope and embed call neither the analyzer, nor the measures,
-    # nor the moment maps; the name the benchmark's tracer wraps still
-    # resolves.
+    # nor the moment maps; only polytope runs the polytope code of
+    # qtoric.toric. The name the benchmark's tracer wraps still resolves.
     state = tmp_path / "bell.json"
     state.write_text('{"qubits": 2, "amplitudes": [[1, 0], [0, 0], [0, 0], [1, 0]]}')
     factors = tmp_path / "factors.json"
@@ -116,14 +116,41 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     run_child(
         f"""
         import sys, qtoric.cli
-        for argv in (["segre", {str(state)!r}], ["polytope", "cube", "-m", "2"], ["embed", {str(factors)!r}]):
-            assert qtoric.cli.main(argv) == 0, argv
-        loaded = {{"qtoric.analyzer", "qtoric.measures", "qtoric.moment"}} & set(sys.modules)
-        assert not loaded, loaded
+        def loaded(*argvs):
+            for argv in argvs:
+                assert qtoric.cli.main(argv) == 0, argv
+            names = {{"qtoric.analyzer", "qtoric.measures", "qtoric.moment", "qtoric.toric"}}
+            return names & set(sys.modules)
+        assert not loaded(["segre", {str(state)!r}], ["embed", {str(factors)!r}])
+        assert loaded(["polytope", "cube", "-m", "2"]) == {{"qtoric.toric"}}
         from qtoric.analyzer import analyze
         assert qtoric.cli.analyze is analyze
         """
     )
+    run_child(
+        f"""
+        import sys, qtoric.cli
+        for argv in (
+            ["analyze", {str(state)!r}],
+            ["moment", "--state", "01"],
+            ["tangle", "--state", "ghz4"],
+            ["invariants", "--state", "ghz4"],
+        ):
+            assert qtoric.cli.main(argv) == 0, argv
+        assert "qtoric.toric" not in sys.modules
+        """
+    )
+
+
+def test_segre_and_toric_load_apart():
+    # The paper's two halves share no code: neither module imports the other.
+    for module, other in (("segre", "toric"), ("toric", "segre")):
+        run_child(
+            f"""
+            import sys, qtoric.{module}
+            assert "qtoric.{other}" not in sys.modules
+            """
+        )
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")

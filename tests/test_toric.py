@@ -44,9 +44,10 @@ from qtoric import (
     unit_cube_exponents,
     verify_beta_balance,
 )
-from qtoric import toric
+from qtoric import segre, toric
+from qtoric.segre import _TILE, largest_minors
 from qtoric.states import unit_vectors
-from qtoric.toric import _TILE, _box_intervals_of, largest_minors
+from qtoric.toric import _box_intervals_of
 from helpers import apply_local, child_env, random_product_state, random_sl2, random_state
 
 # Canonical relation counts, frozen from the exhaustive enumeration below.
@@ -623,7 +624,7 @@ def test_relation_objects_qubit_cap(monkeypatch):
     def no_table(m):
         raise AssertionError("the relation table was built")
 
-    monkeypatch.setattr(toric, "relation_table", no_table)
+    monkeypatch.setattr(segre, "relation_table", no_table)
     for m in (9, MAX_RELATION_QUBITS, 40):
         with pytest.raises(QubitLimitError, match="relation_table"):
             segre_relations(m)
@@ -890,7 +891,7 @@ def _tiles_formed(monkeypatch, r0, r1):
 
     with monkeypatch.context() as patch:
         patch.setattr(np, "multiply", counting)
-        worst = toric._tiled_largest_minors(r0, r1)
+        worst = segre._tiled_largest_minors(r0, r1)
     return worst.tolist(), sum(formed)
 
 
@@ -934,7 +935,7 @@ def test_largest_minors_skips_tiles(monkeypatch):
         basis = np.zeros(size)
         basis[rng.integers(size)] = 1.0
         product = _unit(random_product_state(rng, m).amplitudes)
-        columns = toric._flattening_columns(m)
+        columns = segre._flattening_columns(m)
         for state, limit in (
             (random_state(rng, m).amplitudes, m),
             (named_state(f"ghz{m}").amplitudes + 1e-3 * noise, m),
@@ -967,7 +968,7 @@ def _pluecker_bound(r0, r1):
     d = np.multiply.outer(r0, r1)
     minors = abs(d - d.T)
     main = (np.multiply.outer(pivot, norms) + np.multiply.outer(norms, pivot)) / norms[p]
-    bound = main * (1 + slack) + toric._MINOR_ERROR * np.multiply.outer(norms, norms)
+    bound = main * (1 + slack) + segre._MINOR_ERROR * np.multiply.outer(norms, norms)
     return minors, bound
 
 
