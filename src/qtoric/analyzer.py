@@ -185,13 +185,11 @@ def analyze_many(amplitudes, tol: float = DEFAULT_TOLERANCE) -> list[AnalysisRep
     return _reports(unit_vectors(batch)[0], tol)
 
 
-def _reports(unit: np.ndarray, tol: float, with_measures: bool = True) -> list[AnalysisReport]:
+def _reports(unit: np.ndarray, tol: float) -> list[AnalysisReport]:
     """The report of each row of an (N, 2^m) array of unit vectors, m >= 1.
 
     Row by row: a row gets the same bits alone as in any batch. A single
     qubit has no 2x2 minor, so its residual is 0 and reconstruction decides.
-    Without ``with_measures`` every report's measures are empty, for a
-    caller that reads only the verdict.
     """
     m = unit.shape[1].bit_length() - 1
     residuals = largest_minors(unit) if m > 1 else np.zeros(len(unit))
@@ -210,9 +208,7 @@ def _reports(unit: np.ndarray, tol: float, with_measures: bool = True) -> list[A
             if rebuilt[k]
         }
 
-    measures = {}
-    if with_measures:
-        measures = {name: values.tolist() for name, values in _measures_many(unit).items()}
+    measures = {name: values.tolist() for name, values in _measures_many(unit).items()}
     return [
         AnalysisReport(
             num_qubits=m,

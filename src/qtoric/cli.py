@@ -443,7 +443,7 @@ def _cmd_moment(args) -> int:
         from .analyzer import _reports
 
         unit = _resolve_state(args)._unit[None]
-        image = _reports(unit, args.tol, with_measures=False)[0].moment_image
+        image = _reports(unit, args.tol)[0].moment_image
         if image is None:
             raise _CliError("state is not a product; moment map undefined", code=3)
     # Every image lies in the box at tolerance 0: each coordinate is -w_i/2 / fl(sum of w)
@@ -549,7 +549,7 @@ def _cmd_polytope(args) -> int:
     if args.fan:
         fan = normal_fan_box(polytope)
         payload["cone_count"] = fan.cone_count
-        payload["maximal_cone_count"] = len(fan.maximal_cones())
+        payload["maximal_cone_count"] = fan.maximal_cone_count
         lines.append(
             f"normal fan: {fan.cone_count} cones ({payload['maximal_cone_count']} maximal)"
         )

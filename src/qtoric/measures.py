@@ -1,37 +1,39 @@
 """Entanglement measures and polynomial invariants for small qubit systems.
 
+All of them rest on one pairing: J (x) ... (x) J pairs the amplitude at x
+with the one at its bitwise complement, signed by (-1)^parity(x).
+
 The spin-flip family: with ``~s`` the spin-flip of a state (the y-Pauli on
-every qubit after complex conjugation), the concurrence of two qubits and the
-m-tangle of an even number of qubits are both ``|<s|~s>|^2``.
+every qubit after complex conjugation, (-i)^m times the pairing), the
+concurrence of two qubits and the m-tangle of an even number of qubits are
+both ``|<s|~s>|^2``.
 
 Three qubits: the tangle is four times the absolute hyperdeterminant of the
 2x2x2 amplitude tensor, assembled from the three sums over complementary
 index pairs.
 
-Four qubits: the degree-2 invariant ``H`` pairs each amplitude with its
-bitwise complement, signed by index parity; ``I1`` builds the same quantity
-from the symplectic pairing ``g = J (x) J`` on the four amplitude blocks and
-equals ``H / 2`` identically. The epsilon contraction of Wong and
-Christensen (quant-ph/0010052) gives the four-tangle a third route,
-independent of ``H``. Of its 2^16 terms, only the 256 whose coefficient, a
-product of entries of the symplectic unit ``J``, is nonzero are formed:
-grouped by associativity, two amplitude tensors contracted on their three
-high qubits give a 2x2 matrix of sums of 8 signed products each, and two
-copies of it contracted on the low qubit give the sum. Under these
-definitions both tangle routes equal ``4|H|^2``.
+Four qubits: ``H`` and ``I1`` are two sums of the same eight products
+``a_x a_(15-x)``. ``H`` signs them by parity; ``I1 = (g(A, D) - g(B, C)) / 2``
+groups them by the blocks of ``g = J (x) J``. So ``I1 = H / 2``, but the two
+sums round in different orders and their last bits differ. The epsilon
+contraction of Wong and Christensen (quant-ph/0010052) gives the four-tangle
+a third route, independent of ``H``: of its 2^16 terms, only the 256 with a
+nonzero coefficient are formed, two amplitude tensors contracted on their
+three high qubits into a 2x2 matrix of sums of 8 signed products each, and
+two copies of it contracted on the low qubit. Both tangle routes equal
+``4|H|^2``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import LengthMismatchError, OddQubitCountError, WrongQubitCountError
-from .states import MultiQubitState
+from .states import MAX_QUBITS, MultiQubitState, _product_amplitudes
 
 __all__ = [
     "J",
@@ -58,15 +60,10 @@ G = np.kron(J, J)
 """The 4x4 pairing matrix of :func:`bilinear_g`."""
 G.setflags(write=False)
 
-
-@lru_cache(maxsize=None)
-def _flip_coefficients(m: int) -> np.ndarray:
-    # Amplitude x of the spin-flip picks up prod_j sigma_y[x_j, 1-x_j],
-    # which is (-i)^m times the parity of x.
-    signs = np.array([(-1.0) ** x.bit_count() for x in range(1 << m)])
-    coefficients = ((-1j) ** m) * signs
-    coefficients.setflags(write=False)
-    return coefficients
+# (-1)^parity(x) for x < 2^MAX_QUBITS, the sign of the pairing: the product
+# state (1, -1)^(x)MAX_QUBITS, whose first 2^m entries serve m qubits.
+_PARITY = _product_amplitudes(np.tile([1.0, -1.0], (MAX_QUBITS, 1)))
+_PARITY.setflags(write=False)
 
 
 def spin_flip(state: MultiQubitState) -> MultiQubitState:
@@ -76,8 +73,8 @@ def spin_flip(state: MultiQubitState) -> MultiQubitState:
     the conjugate amplitude at the bitwise complement of x; the norm is
     preserved.
     """
-    coefficients = _flip_coefficients(state.num_qubits)
-    return MultiQubitState(state.num_qubits, coefficients * np.conj(state.amplitudes[::-1]))
+    m = state.num_qubits
+    return MultiQubitState(m, (-1j) ** m * _PARITY[: 1 << m] * np.conj(state.amplitudes[::-1]))
 
 
 def m_tangle(state: MultiQubitState) -> float:
@@ -91,8 +88,8 @@ def m_tangle(state: MultiQubitState) -> float:
 
 def _m_tangle_rows(unit: np.ndarray):
     """:func:`m_tangle` of each row of an (N, 2^m) array of unit vectors, m even."""
-    m = unit.shape[-1].bit_length() - 1
-    flipped = _flip_coefficients(m) * np.conj(unit[..., ::-1])
+    # The spin flip without its phase (-i)^m, a factor that keeps every bit of the modulus.
+    flipped = _PARITY[: unit.shape[-1]] * np.conj(unit[..., ::-1])
     return np.abs(np.add.reduce(np.conj(unit) * flipped, axis=-1)) ** 2
 
 
@@ -106,8 +103,7 @@ def concurrence(state: MultiQubitState) -> float:
 def _hyperdet3(a: np.ndarray):
     # Cayley's hyperdeterminant as the discriminant b^2 - 4ac of det(A + x B)
     # in the slices A, B of the high qubit; expanded, it is d1 - 2 d2 + 4 d4.
-    # ``a`` is one vector, which unpacks into numpy scalars, or an (N, 8)
-    # batch, which unpacks into columns.
+    # ``a`` is an (N, 8) batch, which unpacks into columns.
     a0, a1, a2, a3, a4, a5, a6, a7 = a.T
     b = a0 * a7 - a1 * a6 - a2 * a5 + a3 * a4
     return b * b - 4 * (a0 * a3 - a1 * a2) * (a4 * a7 - a5 * a6)
@@ -129,11 +125,6 @@ def three_tangle(state: MultiQubitState) -> float:
     return float(_three_tangle_rows(state._unit[None])[0])
 
 
-_H_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
-_H_SIGNS.setflags(write=False)
-_EPSILON_SIGNS = _H_SIGNS[:, None, None]  # J (x) J (x) J[k, 7 - k], over (k, d, h)
-
-
 def invariant_H(state: MultiQubitState) -> complex:
     """Degree-2 four-qubit invariant.
 
@@ -147,9 +138,14 @@ def invariant_H(state: MultiQubitState) -> complex:
     return complex(_h_sum(state.amplitudes))
 
 
+def _complement_products(a: np.ndarray) -> np.ndarray:
+    """``a[x] a[15 - x]`` for x < 8, along the last axis of length-16 vectors ``a``."""
+    return a[..., :8] * a[..., :7:-1]
+
+
 def _h_sum(a: np.ndarray):
     """H of each length-16 amplitude vector along the last axis of ``a``."""
-    return np.add.reduce(_H_SIGNS * a[..., :8] * a[..., :7:-1], axis=-1)
+    return np.add.reduce(_PARITY[:8] * _complement_products(a), axis=-1)
 
 
 def bilinear_g(u, v) -> complex:
@@ -162,10 +158,9 @@ def bilinear_g(u, v) -> complex:
 
 
 def _g(u: np.ndarray, v: np.ndarray):
-    # One pair of vectors, or a pair of (N, 4) batches row by row.
-    u0, u1, u2, u3 = u.T
-    v0, v1, v2, v3 = v.T
-    return u0 * v3 - u1 * v2 - u2 * v1 + u3 * v0
+    # One array multiply, as in _i1_rows, so that I1 gets the same bits from the blocks.
+    p = u * v[::-1]
+    return p[0] - p[1] - p[2] + p[3]
 
 
 class FourQubitVectors(NamedTuple):
@@ -185,28 +180,32 @@ def four_qubit_vectors(state: MultiQubitState) -> FourQubitVectors:
 
 
 def invariant_I1(state: MultiQubitState) -> complex:
-    """First SLOCC invariant ``(g(A, D) - g(B, C)) / 2``; equals H / 2."""
-    blocks = four_qubit_vectors(state)
-    return 0.5 * (bilinear_g(blocks.a, blocks.d) - bilinear_g(blocks.b, blocks.c))
+    """First SLOCC invariant ``(g(A, D) - g(B, C)) / 2`` on the blocks; equals H / 2."""
+    if state.num_qubits != 4:
+        raise WrongQubitCountError(f"I1 needs 4 qubits, got {state.num_qubits}")
+    return complex(_i1_rows(state.amplitudes))
 
 
-def _i1_rows(unit: np.ndarray):
-    """:func:`invariant_I1` of each row of an (N, 16) array."""
-    return 0.5 * (_g(unit[..., 0:4], unit[..., 12:16]) - _g(unit[..., 4:8], unit[..., 8:12]))
+def _i1_rows(a: np.ndarray):
+    """I1 of each length-16 amplitude vector along the last axis of ``a``."""
+    p = _complement_products(a)
+    g_ad = p[..., 0] - p[..., 1] - p[..., 2] + p[..., 3]
+    g_bc = p[..., 4] - p[..., 5] - p[..., 6] + p[..., 7]
+    return 0.5 * (g_ad - g_bc)
 
 
 def _tau4_contraction(amplitudes: np.ndarray):
     # The 2^16-term epsilon contraction over its nonzero terms, summed in two
     # groups by associativity. p contracts the three high qubits of two
     # amplitude factors with J (x) J (x) J, which pairs high index k only
-    # with its complement 7 - k, signed by the parity of k (the signs of H):
+    # with its complement 7 - k, signed by the parity of k as in H (_PARITY):
     # p[d, h] = sum_k s_k t[k, d] t[7 - k, h], one reduction over k. The pairs
     # (k, l) and (m, n) give the same p, and J (x) J on the low qubits leaves
     # p00 p11 + p11 p00 - p01 p10 - p10 p01. Each vector's terms are summed
     # in the same order alone as in a batch, so a row keeps its bits. Equals
     # 2 H^2 as a complex number, for each length-16 vector along the last axis.
     t = amplitudes.reshape(*amplitudes.shape[:-1], 8, 2)
-    p = np.add.reduce(_EPSILON_SIGNS * t[..., :, :, None] * t[..., ::-1, None, :], axis=-3)
+    p = np.add.reduce(_PARITY[:8, None, None] * t[..., :, :, None] * t[..., ::-1, None, :], axis=-3)
     return 2.0 * (p[..., 0, 0] * p[..., 1, 1] - p[..., 0, 1] * p[..., 1, 0])
 
 

@@ -67,8 +67,8 @@ class BinomialRelation:
 
     ``swap_axis`` records one axis whose bit swap turns the left pair into
     the right pair (the smallest such axis for generated relations). The
-    constructor checks structure only; :func:`verify_beta_balance` is the
-    membership test for candidate relations.
+    constructor checks structure only; :func:`qtoric.toric.verify_beta_balance`
+    is the membership test for candidate relations.
     """
 
     num_qubits: int

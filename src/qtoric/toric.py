@@ -366,6 +366,10 @@ class Fan:
     def cone_count(self) -> int:
         return 3**self.dim
 
+    @property
+    def maximal_cone_count(self) -> int:
+        return 2**self.dim
+
     @cached_property
     def cones(self) -> dict[tuple[int, ...], Cone]:
         """Every cone, keyed by sign pattern in lexicographic order; built when first read."""

@@ -23,7 +23,6 @@ from qtoric import (
     state_from_dict,
     state_to_dict,
 )
-import qtoric.analyzer
 import qtoric.cli
 import qtoric.states
 from qtoric.cli import _fmt, main
@@ -405,6 +404,30 @@ def test_analyze_directory_is_the_per_file_route_as_json_dumps(tmp_path, capsys,
     assert capsys.readouterr() == ("\n".join(blocks), err)
 
 
+@pytest.mark.bitexact
+def test_analyze_prints_the_same_bytes_at_every_power_of_two_scale(tmp_path, capsys):
+    # States are projective: scaled by 2^k with every part still normal, a
+    # file holds the same state, unit_vectors gives it the same bits, and
+    # analyze prints the same bytes, at the smallest and largest such k.
+    rng = np.random.default_rng(16)
+    for m in range(2, 9):
+        kinds = {
+            "gaussian": rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m),
+            "product": random_product_state(rng, m).amplitudes,
+        }
+        for kind, amplitudes in kinds.items():
+            parts = amplitudes.view(float)
+            _, exponents = np.frexp(parts[parts != 0])
+            outputs = set()
+            for k in (0, -1021 - exponents.min(), 1024 - exponents.max(), 300):
+                scaled = MultiQubitState(m, np.ldexp(parts, k).view(complex))
+                path = tmp_path / f"{kind}{m}_{k}.json"
+                path.write_text(json.dumps(state_to_dict(scaled)))
+                text = _cli_stdout(capsys, "analyze", str(path))
+                outputs.add((text, _cli_stdout(capsys, "analyze", str(path), "--format", "json")))
+            assert len(outputs) == 1, (kind, m)
+
+
 def test_analyze_directory_all_good_quiet(tmp_path):
     (tmp_path / "bell.json").write_text(json.dumps(state_to_dict(named_state("bell"))))
     result = run_cli("analyze", str(tmp_path))
@@ -709,23 +732,6 @@ def test_moment_takes_the_analyze_verdict(tmp_path, capsys):
             printed = json.loads(capsys.readouterr().out)["moment_image"]
             want = moment_product(extract_factors(state_from_dict(data), 1e-10))
             assert printed == want.tolist(), (scale, pair)
-
-
-def test_moment_computes_no_measures(monkeypatch, capsys):
-    # moment reads only the verdict and the image of a report, so it leaves
-    # the measures out; analyze of the same state does compute them.
-    calls = []
-    measures_many = qtoric.analyzer._measures_many
-    monkeypatch.setattr(
-        qtoric.analyzer, "_measures_many", lambda unit: calls.append(unit) or measures_many(unit)
-    )
-    for name in ("0110", "bell", "1"):
-        code = main(["moment", "--state", name, "--format", "json"])
-        assert code == (3 if name == "bell" else 0)
-    assert calls == []
-    assert main(["analyze", "--state", "0110"]) == 0
-    assert len(calls) == 1
-    capsys.readouterr()
 
 
 def test_moment_projective_point(tmp_path):

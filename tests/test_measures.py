@@ -26,6 +26,7 @@ from qtoric import (
     tau4_epsilon_oracle,
     three_tangle,
 )
+from qtoric.states import unit_vectors
 from helpers import (
     apply_local,
     random_product_state,
@@ -263,6 +264,102 @@ def test_pairing_identity_inner_product_vs_h():
         s = random_state(rng, 4)
         lhs = inner_product(s, spin_flip(s))
         assert abs(lhs - 2 * np.conj(invariant_H(s))) <= 1e-12
+
+
+# --- one sign vector and one product array ---------------------------------------------
+
+
+def _popcount_signs(m):
+    return np.array([(-1.0) ** x.bit_count() for x in range(1 << m)])
+
+
+def _awkward_rows(rng, count, size):
+    """Gaussian rows, cycled with rows that have zeroed entries, -0.0 parts,
+    no imaginary part, a scale of 1e-150, or a single nonzero entry."""
+    rows = rng.standard_normal((count, size)) + 1j * rng.standard_normal((count, size))
+    for i, row in enumerate(rows):
+        kind = i % 6
+        if kind == 1:
+            row[rng.random(size) < 0.5] = 0
+        elif kind == 2:
+            row[rng.random(size) < 0.5] = complex(-0.0, -0.0)
+            row.imag[rng.random(size) < 0.3] = -0.0
+            row.real[rng.random(size) < 0.3] = -0.0
+        elif kind == 3:
+            row.imag[:] = 0.0 if i % 12 < 6 else -0.0
+        elif kind == 4:
+            row *= 1e-150
+        elif kind == 5:
+            row[np.arange(size) != rng.integers(size)] = 0
+        if not row.any():  # a state needs one nonzero amplitude
+            row[rng.integers(size)] = 1.0
+    return rows
+
+
+@pytest.mark.bitexact
+def test_parity_vector_is_the_popcount_sign():
+    from qtoric.measures import _PARITY
+
+    assert not _PARITY.flags.writeable
+    for m in range(1, 13):
+        signs = _popcount_signs(m)
+        assert _PARITY[: 1 << m].tobytes() == signs.tobytes()
+        assert (((-1j) ** m) * _PARITY[: 1 << m]).tobytes() == (((-1j) ** m) * signs).tobytes()
+
+
+@pytest.mark.bitexact
+@pytest.mark.parametrize("m", range(2, 13, 2))
+def test_m_tangle_rows_drop_the_phase_exactly(m):
+    # The kernel leaves out the spin flip's phase (-i)^m, which the route
+    # written out here keeps: a factor of +-1 or +-i moves no bit of |<s|~s>|^2.
+    from qtoric.measures import _m_tangle_rows
+
+    rng = np.random.default_rng(80 + m)
+    unit = unit_vectors(_awkward_rows(rng, 60 if m < 10 else 12, 1 << m))[0]
+    flipped = ((-1j) ** m) * _popcount_signs(m) * np.conj(unit[..., ::-1])
+    want = np.abs(np.add.reduce(np.conj(unit) * flipped, axis=-1)) ** 2
+    assert _m_tangle_rows(unit).tobytes() == want.tobytes()
+    for row, value in zip(unit, want):
+        assert _m_tangle_rows(row[None]).tobytes() == value.tobytes()
+
+
+def _i1_by_blocks(a):
+    # (g(A, D) - g(B, C)) / 2, the pairing g written out on columns.
+    def g(u, v):
+        u0, u1, u2, u3 = u.T
+        v0, v1, v2, v3 = v.T
+        return u0 * v3 - u1 * v2 - u2 * v1 + u3 * v0
+
+    return 0.5 * (g(a[..., 0:4], a[..., 12:16]) - g(a[..., 4:8], a[..., 8:12]))
+
+
+@pytest.mark.bitexact
+def test_h_and_i1_read_the_complement_products_exactly():
+    # H and I1 from the one product array against each sum written out,
+    # raw and on unit vectors, in a batch and one row at a time.
+    from qtoric.measures import _h_sum, _i1_rows
+
+    signs = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
+    rng = np.random.default_rng(86)
+    raw = _awkward_rows(rng, 600, 16)
+    for rows in (raw, unit_vectors(raw)[0]):
+        want_h = np.add.reduce(signs * rows[..., :8] * rows[..., :7:-1], axis=-1)
+        want_i1 = _i1_by_blocks(rows)
+        assert _h_sum(rows).tobytes() == want_h.tobytes()
+        assert _i1_rows(rows).tobytes() == want_i1.tobytes()
+        for row, h, i1 in zip(rows[:, None], want_h, want_i1):
+            assert _h_sum(row).tobytes() == h.tobytes()
+            assert _i1_rows(row).tobytes() == i1.tobytes()
+
+
+@pytest.mark.bitexact
+def test_invariant_i1_is_the_block_route_exactly():
+    rng = np.random.default_rng(87)
+    for row in _awkward_rows(rng, 300, 16):
+        s = MultiQubitState(4, row)
+        blocks = four_qubit_vectors(s)
+        want = 0.5 * (bilinear_g(blocks.a, blocks.d) - bilinear_g(blocks.b, blocks.c))
+        assert np.array(invariant_I1(s)).tobytes() == np.array(want).tobytes()
 
 
 # --- epsilon contraction ----------------------------------------------------------------

