@@ -62,7 +62,10 @@ G.setflags(write=False)
 
 # (-1)^parity(x) for x < 2^MAX_QUBITS, the sign of the pairing: the product
 # state (1, -1)^(x)MAX_QUBITS, whose first 2^m entries serve m qubits.
-_PARITY = _product_amplitudes(np.tile([1.0, -1.0], (MAX_QUBITS, 1)))
+# Complex, as the amplitudes it multiplies, so no kernel casts it per call;
+# cast from the real signs, so every imaginary part is +0.0, as numpy's cast
+# of a real operand gives it, and each product keeps its bits.
+_PARITY = _product_amplitudes(np.tile([1.0, -1.0], (MAX_QUBITS, 1))).astype(complex)
 _PARITY.setflags(write=False)
 
 

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -46,8 +47,9 @@ STATE_SCHEMA = {
     },
 }
 
-# Row counts per output piece of the CLI's row writer: its own, and two that
-# put a piece boundary after every row or every third row.
+# Row counts per output piece of the CLI's row writer, and files per window
+# of analyze DIR: its own, and two that put a boundary after every row or
+# every third row.
 BLOCKS = (qtoric.cli._BLOCK, 1, 3)
 
 REPORT_SCHEMA = {
@@ -211,27 +213,33 @@ def _state_file(directory, name, m, amps, **extra):
     (directory / name).write_text(json.dumps(data))
 
 
-def test_analyze_directory_mixed_records(tmp_path):
-    # Good files at m = 2-5 are analyzed in one batch per qubit count, between
-    # files that fail to validate or to analyze; each keeps its own record.
+def _mixed_directory(directory) -> dict:
+    """Good state files at m = 2-5 between files that fail to validate or to
+    analyze, in ``directory``; returns each bad file's error message."""
     rng = np.random.default_rng(5)
     for m in (2, 3, 4, 5):
-        _state_file(tmp_path, f"g{m}.json", m, random_state(rng, m).amplitudes)
-    _state_file(tmp_path, "g2b.json", 2, random_product_state(rng, 2).amplitudes)
-    _state_file(tmp_path, "g3_unnormalized.json", 3, 7 * random_state(rng, 3).amplitudes,
+        _state_file(directory, f"g{m}.json", m, random_state(rng, m).amplitudes)
+    _state_file(directory, "g2b.json", 2, random_product_state(rng, 2).amplitudes)
+    _state_file(directory, "g3_unnormalized.json", 3, 7 * random_state(rng, 3).amplitudes,
                 normalize=False)
-    _state_file(tmp_path, "m1.json", 1, [1, 0])
-    _state_file(tmp_path, "m13.json", 13, [])
-    _state_file(tmp_path, "nan.json", 2, [1, float("nan"), 0, 0])
-    _state_file(tmp_path, "short.json", 3, [1] * 7)
-    _state_file(tmp_path, "zero.json", 2, [0] * 4)
-    expected_errors = {
+    _state_file(directory, "m1.json", 1, [1, 0])
+    _state_file(directory, "m13.json", 13, [])
+    _state_file(directory, "nan.json", 2, [1, float("nan"), 0, 0])
+    _state_file(directory, "short.json", 3, [1] * 7)
+    _state_file(directory, "zero.json", 2, [0] * 4)
+    return {
         "m1.json": "analysis needs at least 2 qubits",
         "m13.json": "a state is limited to 12 qubits, got 13",
         "nan.json": "amplitudes contain NaN or infinite entries",
         "short.json": "expected 8 amplitudes, found 7",
         "zero.json": "the zero vector does not define a state",
     }
+
+
+def test_analyze_directory_mixed_records(tmp_path):
+    # Good files at m = 2-5 are analyzed in one batch per qubit count, between
+    # files that fail to validate or to analyze; each keeps its own record.
+    expected_errors = _mixed_directory(tmp_path)
     names = sorted(p.name for p in tmp_path.iterdir())
 
     result = run_cli("analyze", str(tmp_path), "--format", "json")
@@ -251,6 +259,73 @@ def test_analyze_directory_mixed_records(tmp_path):
     assert headers == names
     for name, message in expected_errors.items():
         assert f"== {name}\nerror: {message}\n" in text + "\n"
+
+
+@pytest.mark.bitexact
+def test_analyze_directory_windows_keep_every_byte(tmp_path, capsys, monkeypatch):
+    # A directory is read, analyzed and written one window of _BLOCK files at
+    # a time. Windows of one and of three files, which put bad files on
+    # window edges and make a window of bad files only, give the bytes of
+    # one window for all: rows keep their bits in any batch, and the record
+    # templates and the failure count carry across windows.
+    _mixed_directory(tmp_path)
+    runs = []
+    for block in BLOCKS:
+        monkeypatch.setattr(qtoric.cli, "_BLOCK", block)
+        run = []
+        for form in ("json", "text"):
+            code = main(["analyze", str(tmp_path), "--format", form])
+            run.append((code, *capsys.readouterr()))
+        runs.append(run)
+    default, *others = runs
+    assert [code for code, _, _ in default] == [2, 2]
+    assert all(run == default for run in others)
+
+
+def test_analyze_directory_memory_is_one_window(tmp_path, monkeypatch):
+    # Each window's amplitudes, reports and records are dropped before the
+    # next window is read, so the traced peak over 16 windows stays near
+    # that over one, where keeping every file to the end makes it 5x.
+    monkeypatch.setattr(qtoric.cli, "_BLOCK", 4)
+    rng = np.random.default_rng(31)
+    for count in (4, 64):
+        (tmp_path / str(count)).mkdir()
+        for k in range(count):
+            amplitudes = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+            _state_file(tmp_path / str(count), f"s{k:02d}.json", 10, amplitudes)
+    out = str(tmp_path / "records.json")
+    assert main(["analyze", str(tmp_path / "4"), "--format", "json", "-o", out]) == 0  # fills caches
+    peaks = []
+    for count in (4, 64):
+        tracemalloc.start()
+        try:
+            assert main(["analyze", str(tmp_path / str(count)), "--format", "json", "-o", out]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(json.loads((tmp_path / "records.json").read_text())) == 64
+    assert peaks[1] <= 2 * peaks[0], peaks
+
+
+def test_analyze_directory_refuses_an_input_as_output(tmp_path, capsys):
+    # The output is opened before the first window is read, so an -o path
+    # that names one of the input files, directly or through a link, is a
+    # usage error before any file is read or truncated.
+    _mixed_directory(tmp_path)
+    target = tmp_path / "g3.json"
+    before = target.read_bytes()
+    link = tmp_path.parent / f"{tmp_path.name}-link.json"
+    link.symlink_to(target)
+    for out in (target, tmp_path / ".." / tmp_path.name / "g3.json", link):
+        assert main(["analyze", str(tmp_path), "-o", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"qtoric: error: -o {out} is one of the input files\n")
+        assert target.read_bytes() == before
+    # A file that is not there yet is no input, even in the directory.
+    assert main(["analyze", str(tmp_path), "--format", "json"]) == 2
+    want = capsys.readouterr()
+    assert main(["analyze", str(tmp_path), "--format", "json", "-o", str(tmp_path / "new.json")]) == 2
+    assert capsys.readouterr() == ("", want.err)
+    assert (tmp_path / "new.json").read_text() == want.out
 
 
 @pytest.mark.bitexact

@@ -303,7 +303,7 @@ def test_parity_vector_is_the_popcount_sign():
     assert not _PARITY.flags.writeable
     for m in range(1, 13):
         signs = _popcount_signs(m)
-        assert _PARITY[: 1 << m].tobytes() == signs.tobytes()
+        assert _PARITY[: 1 << m].tobytes() == signs.astype(complex).tobytes()
         assert (((-1j) ** m) * _PARITY[: 1 << m]).tobytes() == (((-1j) ** m) * signs).tobytes()
 
 
