@@ -178,16 +178,16 @@ def relation_residual(state: MultiQubitState, relation: BinomialRelation) -> flo
 
 
 _TILE = 32
-"""Side of the square tiles in which :func:`_tiled_largest_minors` forms
-minor matrices."""
+"""Side of the square tiles in which :func:`largest_minors` forms minor
+matrices."""
 
 _BLOCK = 7 << 10
 """Complex entries of one buffer of the certificate, 112 KiB: below glibc's
 128 KiB mmap threshold, so the buffers come from the heap and not from pages
-mapped afresh on every call. :func:`largest_minors` cuts a batch into blocks
-of as many whole rows as fill a buffer with one tile of each flattening, at
-least one row, and :func:`_tiled_largest_minors` forms each tile of a call in
-equal pieces of at most this many entries."""
+mapped afresh on every call. Up to m = 6 :func:`largest_minors` cuts a batch
+into blocks of as many whole rows as fill a buffer with the single tile of
+each flattening, and from m = 7 :func:`_tiled_largest_minor` forms each tile
+of a row in equal pieces of at most this many entries."""
 
 _SLACK = 2.0**-32
 """Relative margin of the skip threshold L / (1 + _SLACK): a bound that
@@ -238,32 +238,37 @@ def largest_minors(unit) -> np.ndarray:
     ``r0`` first, and the result is the maximum of the whole minor matrix to
     the bit.
 
-    Up to m = 6 a flattening's minor matrix is a single tile, formed in one
-    expression. From m = 7, :func:`_tiled_largest_minors` skips the tiles
-    of the minor matrices that a bound rules out. Hadamard's bound skips
-    every tile but the heaviest on states far from the Segre variety: at
-    m = 12 it forms one tile of 32 x 32 in each 2048 x 2048 minor matrix.
-    A bound from the Pluecker relations keeps a few dozen tiles of exact
-    and near products, and no tile of a zero column is formed, so a basis
-    state forms only the heaviest. States whose columns all weigh the same,
-    such as uniform and graph states, still form every tile, at O(m 4^m).
+    Up to ``_TILE`` columns (m <= 6) a flattening's minor matrix is a single
+    tile, ``d - d.T`` with ``d = outer(r0, r1)``. The rows go in blocks of
+    as many whole rows as fill ``_BLOCK`` entries with one tile of each
+    flattening, each block's flattenings gathered just before it, both rows
+    in one take, and its tiles formed in one expression, so their
+    temporaries come from the heap.
 
-    The rows go to the kernel in blocks of as many whole rows as fill
-    ``_BLOCK`` entries with one tile of each flattening, at least one row,
-    each block's flattenings gathered just before its call, both rows in one
-    take. So up to m = 6, where a block's single tiles hold at most
-    ``_BLOCK`` entries, the temporaries that form them come from the heap.
-    From m = 7 a block holds one row, so each half of its gather is
-    contiguous and the kernel's reshapes and flat takes copy nothing.
+    From m = 7 each row goes alone to :func:`_tiled_largest_minor`, which
+    skips the tiles of the minor matrices that a bound rules out. The row's
+    gather is one take whose two (m, 2^(m-1)) halves are contiguous, so the
+    kernel's flat takes copy nothing first. Hadamard's bound skips every
+    tile but the heaviest on states far from the Segre variety: at m = 12
+    it forms one tile of 32 x 32 in each 2048 x 2048 minor matrix. A bound
+    from the Pluecker relations keeps a few dozen tiles of exact and near
+    products, and no tile of a zero column is formed, so a basis state forms
+    only the heaviest. States whose columns all weigh the same, such as
+    uniform and graph states, still form every tile, at O(m 4^m).
     """
     unit, m = _state_rows(unit, "the Segre certificate")
     columns = _flattening_columns(m)
-    side = min(columns.shape[2], _TILE)
-    per_block = max(1, _BLOCK // (m * side * side))
+    n = columns.shape[2]
+    if n > _TILE:
+        return np.array([_tiled_largest_minor(*row.take(columns)) for row in unit])
+    per_block = _BLOCK // (m * n * n)
     worst = np.empty(len(unit))
     for start in range(0, len(unit), per_block):
         r0, r1 = unit[start : start + per_block].take(columns, axis=1).swapaxes(0, 1)
-        worst[start : start + per_block] = _tiled_largest_minors(r0, r1)
+        d = r0[..., :, None] * r1[..., None, :]
+        # Rebinding d frees the products before the next block forms its own.
+        d = np.maximum.reduce(abs(d - d.swapaxes(2, 3)), axis=(1, 2, 3))
+        worst[start : start + per_block] = d
     return worst
 
 
@@ -281,52 +286,46 @@ def _flattening_columns(m: int) -> np.ndarray:
     return columns
 
 
-def _tiled_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
-    """The largest absolute minor of each row, from the tiles that can hold it.
+def _tiled_largest_minor(r0: np.ndarray, r1: np.ndarray) -> np.float64:
+    """The largest absolute minor of one row, from the tiles that can hold it.
 
-    ``r0`` and ``r1`` hold the two rows of the m flattenings of each row, as
-    (N, m, n) arrays. With ``d = outer(r0, r1)`` the minors of a flattening
-    are the entries of ``d - d.T``. That matrix is antisymmetric, so only its
-    tiles on or above the diagonal are formed: the tile of column ranges I
-    and J is ``r0[I, None] * r1[None, J] - r0[None, J] * r1[I, None]``,
-    ``_TILE`` on a side, and a diagonal tile reads its second term as the
-    transpose of its first. Up to ``_TILE`` columns (m <= 6) the one
-    diagonal tile is formed in one expression, with the same operations in
-    the same order; its temporaries hold as many entries as the call, which
-    :func:`largest_minors` keeps within ``_BLOCK``.
+    ``r0`` and ``r1`` hold the two rows of the row's m flattenings, as
+    (m, n) arrays, n > ``_TILE``. With ``d = outer(r0, r1)`` the minors of a
+    flattening are the entries of ``d - d.T``. That matrix is antisymmetric,
+    so only its tiles on or above the diagonal are formed: the tile of
+    column ranges I and J is
+    ``r0[I, None] * r1[None, J] - r0[None, J] * r1[I, None]``, ``_TILE`` on
+    a side, and a diagonal tile reads its second term as the transpose of
+    its first.
 
-    Above ``_TILE`` columns (m >= 7), each flattening's columns are sorted
-    by their norm ``hypot(|r0|, |r1|)``, and each tile is formed at once for
-    every flattening of the call, in three buffers, in equal pieces of at
-    most ``_BLOCK`` entries. The last tile, of the heaviest columns, is
-    formed first, and its largest minor over a row's m flattenings is a
-    lower bound L of the row's answer; :func:`_needed_tiles` then picks,
-    once per call, the tiles that a bound cannot rule out on every
-    flattening of the call. A skipped minor cannot exceed L and every other
-    one is formed as without the skip, so the result is the same to the bit.
+    Each flattening's columns are sorted by their norm
+    ``hypot(|r0|, |r1|)``, and each tile is formed at once for all m
+    flattenings, in three buffers, in equal pieces of at most ``_BLOCK``
+    entries. The last tile, of the heaviest columns, is formed first, and
+    its largest minor over the m flattenings is a lower bound L of the
+    row's answer; :func:`_needed_tiles` then picks the tiles that a bound
+    cannot rule out on every flattening. A skipped minor cannot exceed L and
+    every other one is formed as without the skip, so the result is the
+    same to the bit.
     """
-    count, m, n = r0.shape
-    if n <= _TILE:
-        d = r0[..., :, None] * r1[..., None, :]
-        return np.maximum.reduce(abs(d - d.swapaxes(2, 3)), axis=(1, 2, 3))
+    m, n = r0.shape
     spans = [slice(i, i + _TILE) for i in range(0, n, _TILE)]
     norms = np.empty(r0.shape, dtype=complex)
     np.abs(r0, out=norms.real)
     np.abs(r1, out=norms.imag)
     norms = np.abs(norms)  # complex abs is a scaled hypot: no square underflows
-    order = norms.argsort(axis=2)
-    order += np.arange(0, r0.size, n).reshape(count, m, 1)
+    order = norms.argsort(axis=1)
+    order += np.arange(0, r0.size, n)[:, None]
     r0, r1 = r0.take(order), r1.take(order)
-    heads = norms.take(order[:, :, _TILE - 1 :: _TILE])  # each tile's heaviest column
-    r0, r1 = r0.reshape(-1, n), r1.reshape(-1, n)
-    per_piece = math.ceil(len(r0) / math.ceil(len(r0) * _TILE * _TILE / _BLOCK))
+    heads = norms.take(order[:, _TILE - 1 :: _TILE])  # each tile's heaviest column
+    per_piece = math.ceil(m / math.ceil(m * _TILE * _TILE / _BLOCK))
     products = np.empty((per_piece, _TILE, _TILE), dtype=complex)
     minors, sizes = np.empty_like(products), np.empty(products.shape)
-    worst = np.zeros(len(r0))
+    worst = np.zeros(m)
 
     def form(i, j):
         block_i, block_j = spans[i], spans[j]
-        for low in range(0, len(r0), per_piece):
+        for low in range(0, m, per_piece):
             b0, b1 = r0[low : low + per_piece], r1[low : low + per_piece]
             d, e, a = products[: len(b0)], minors[: len(b0)], sizes[: len(b0)]
             np.multiply(b0[:, block_i, None], b1[:, None, block_j], out=d)
@@ -342,19 +341,19 @@ def _tiled_largest_minors(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
     form(-1, -1)  # the heaviest tile
     for i, j in _needed_tiles(r0, r1, heads, worst):
         form(i, j)
-    return np.maximum.reduce(worst.reshape(count, m), axis=1)
+    return np.maximum.reduce(worst)
 
 
 def _needed_tiles(
     r0: np.ndarray, r1: np.ndarray, heads: np.ndarray, best: np.ndarray
 ) -> list[tuple[int, int]]:
-    """The tiles (i, j), i <= j, that one call must form after its heaviest.
+    """The tiles (i, j), i <= j, that one row must form after its heaviest.
 
-    ``r0`` and ``r1`` are the call's (R m, n) flattening rows, columns
-    sorted by norm; ``heads`` is the (R, m, n / _TILE) array of each span's
-    largest norm, and ``best`` each flattening's largest minor so far. A
-    tile is needed when on some flattening of the call its bound exceeds
-    the row's lower bound L over ``1 + _SLACK``, or L is below ``_TINY``.
+    ``r0`` and ``r1`` are the row's (m, n) flattening rows, columns sorted
+    by norm; ``heads`` is the (m, n / _TILE) array of each span's largest
+    norm, and ``best`` each flattening's largest minor so far. A tile is
+    needed when on some flattening its bound exceeds the row's lower bound
+    L over ``1 + _SLACK``, or L is below ``_TINY``.
 
     A zero head becomes NaN, on which every bound compares false, so the
     tiles of a span of zero columns are skipped whatever L is: each of their
@@ -376,12 +375,11 @@ def _needed_tiles(
     the rounding of every minor involved. On exact and near products it
     rules out all but the heaviest few tiles.
     """
-    rows, m, _ = heads.shape
 
     def needed_by(bound):
-        lower = np.maximum.reduce(best.reshape(rows, m), axis=1)
-        threshold = np.where(lower >= _TINY, lower / (1.0 + _SLACK), -1.0)
-        needed = np.logical_or.reduce(bound > threshold[:, None, None, None], axis=(0, 1))
+        lower = np.maximum.reduce(best)
+        threshold = lower / (1.0 + _SLACK) if lower >= _TINY else -1.0
+        needed = np.logical_or.reduce(bound > threshold, axis=0)
         needed[-1, -1] = False  # formed first
         return needed
 
@@ -392,7 +390,7 @@ def _needed_tiles(
         return []
     pivot = np.abs(r0 * r1[:, -1:] - r0[:, -1:] * r1)
     np.maximum(best, np.maximum.reduce(pivot, axis=1), out=best)
-    reach = np.maximum.reduce(pivot.reshape(heads.shape + (-1,)), axis=3)
+    reach = np.maximum.reduce(pivot.reshape(heads.shape + (-1,)), axis=2)
     pluecker = head_i * reach[..., None, :] + head_j * reach[..., :, None]
     pluecker /= heads[..., -1:, None]
     pluecker += _MINOR_ERROR * hadamard

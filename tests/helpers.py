@@ -27,6 +27,26 @@ def random_state(rng, m: int) -> MultiQubitState:
     return make_state(m, z, normalize=True)
 
 
+SYMMETRY_KINDS = ["haar", "gaussian product", "dicke", "phase product", "ring graph", "random phase"]
+
+
+def symmetry_kind(kind: str, m: int, rng) -> np.ndarray:
+    """Amplitudes of one of the kinds whose certificate cost differs most."""
+    size = 1 << m
+    bits = (np.arange(size)[:, None] >> np.arange(m)) & 1
+    if kind == "haar":
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    if kind == "gaussian product":
+        return random_product_state(rng, m).amplitudes
+    if kind == "dicke":  # m // 2 excitations
+        return (bits.sum(axis=1) == m // 2).astype(complex)
+    if kind == "phase product":  # (1, e^(i phi_j)) on every qubit
+        return np.exp(1j * (bits @ rng.uniform(0.0, 2 * np.pi, m)))
+    if kind == "ring graph":
+        return (-1.0) ** (bits * np.roll(bits, 1, axis=1)).sum(axis=1)
+    return np.exp(2j * np.pi * rng.random(size))  # random phase
+
+
 def random_unitary(rng, dim: int = 2) -> np.ndarray:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)

@@ -27,12 +27,14 @@ from qtoric import (
     segre_embed,
 )
 from helpers import (
+    SYMMETRY_KINDS,
     aligned_distance,
     apply_local,
     random_product_state,
     random_sl2,
     random_state,
     random_unitary,
+    symmetry_kind,
 )
 
 
@@ -421,6 +423,49 @@ def test_analyze_many_reconstruction_gate(m):
     reports = _assert_batch_matches_scalar([s.amplitudes for s in states], tol)
     assert [r.separable for r in reports] == [True, False, False]
     assert reports[1].max_residual <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(SYMMETRY_KINDS),
+    m=st.integers(min_value=2, max_value=12),
+    offset=st.sampled_from([0.0, 1e-11, 2e-10, 5e-10]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_verdict_survives_qubit_permutations(kind, m, offset, seed):
+    """Qubit permutations of the raw amplitudes keep the verdict.
+
+    The permutation moves no amplitude's value, and the exact unit vector v
+    is permuted with it, so the exact minors keep their moduli. Only the
+    norm that ``unit_vectors`` divides by moves: the 2n = 2^(m+1) squared
+    parts are summed in another order. Each computed sum lies within
+    gamma_2n = 2n u / (1 - 2n u) of the exact one, in any order (u = 2^-53),
+    the square root and each division round by u, so each computed unit
+    entry is v_k (1 + t_k), |t_k| <= t = gamma_2n / 2 + 2u. A minor of those
+    entries then lies within 2t n_c n_d <= t of its exact value, as
+    |r0[c] r1[d]| + |r0[d] r1[c]| <= n_c n_d <= 1/2, and the computed minor
+    within e / 2 more, e = (sqrt(5) + 3) u, the premise of ``_MINOR_ERROR``.
+    So the two residuals lie within 2t + e <= (2n + 10) u of each other, to
+    first order; the largest move seen was a seventeenth of it.
+
+    The residual gate can change only where the residual lies within that
+    bound of ``tol``, and the reconstruction gate only where the error of the
+    pivot factors lies within rounding of ``10 tol``. Noise of 2e-10 and
+    5e-10 puts products on both sides of ``tol``; 1e-11 keeps them inside.
+    """
+    rng = np.random.default_rng(seed)
+    amplitudes = np.asarray(symmetry_kind(kind, m, rng), dtype=complex)
+    noise = rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m)
+    noise *= offset * np.linalg.norm(amplitudes) / np.linalg.norm(noise)
+    amplitudes = amplitudes + noise
+    tensor = amplitudes.reshape((2,) * m)
+    permuted = [tensor.transpose(rng.permutation(m)).reshape(-1) for _ in range(4)]
+    report, *moved = analyze_many(np.stack([amplitudes, *permuted]))
+    bound = ((2 << m) + 10) * 2.0**-53
+    for other in moved:
+        assert abs(other.max_residual - report.max_residual) <= bound
+        if abs(report.max_residual - report.tolerance) > bound:
+            assert other.separable == report.separable
 
 
 def test_analyze_many_named_states():

@@ -48,7 +48,15 @@ from qtoric import segre, toric
 from qtoric.segre import _TILE, largest_minors
 from qtoric.states import unit_vectors
 from qtoric.toric import _box_intervals_of
-from helpers import apply_local, child_env, random_product_state, random_sl2, random_state
+from helpers import (
+    SYMMETRY_KINDS,
+    apply_local,
+    child_env,
+    random_product_state,
+    random_sl2,
+    random_state,
+    symmetry_kind,
+)
 
 # Canonical relation counts, frozen from the exhaustive enumeration below.
 RELATION_COUNTS = {2: 1, 3: 12, 4: 88}
@@ -881,9 +889,9 @@ def _hidden_maximum(rng, count, m, n, small):
 
 
 def _tiles_formed(monkeypatch, r0, r1):
-    """The kernel's result on (r0, r1), and how many flattening tiles it
-    formed: one product per diagonal tile and two per other tile, each
-    counted once per flattening."""
+    """The kernel's result on each row of the (N, m, n) arrays (r0, r1), one
+    call per row, and how many flattening tiles it formed: one product per
+    diagonal tile and two per other tile, each counted once per flattening."""
     multiply, formed = np.multiply, []
 
     def counting(*args, out):
@@ -892,8 +900,8 @@ def _tiles_formed(monkeypatch, r0, r1):
 
     with monkeypatch.context() as patch:
         patch.setattr(np, "multiply", counting)
-        worst = segre._tiled_largest_minors(r0, r1)
-    return worst.tolist(), sum(formed)
+        worst = [float(segre._tiled_largest_minor(a0, a1)) for a0, a1 in zip(r0, r1)]
+    return worst, sum(formed)
 
 
 @pytest.mark.bitexact
@@ -901,10 +909,10 @@ def test_largest_minors_finds_maxima_outside_the_heaviest_tile(monkeypatch):
     # The lower bound from the heaviest tile is below a fiftieth of the
     # answer, so the answer comes from the tiles the bound keeps: those of
     # the pair and of the small columns, but not those of the light rest.
-    # The 21 flattenings form three pieces of seven. Several of the maxima
-    # change their last bit when a product is formed with r1 first.
+    # Each row's 8 flattenings form two pieces of four. Two of the three
+    # maxima change their last bit when a product is formed with r1 first.
     rng = np.random.default_rng(53)
-    count, m, n = 7, 3, 512
+    count, m, n = 3, 8, 512
     r0, r1 = _hidden_maximum(rng, count, m, n, small=45)
     want, top = [], []
     for a0, a1 in zip(r0, r1):
@@ -1088,29 +1096,10 @@ def test_largest_minors_bit_identical_property(m, rows, seed):
     assert largest_minors(unit).tolist() == [_dense_largest_minor(row, m) for row in unit]
 
 
-def _symmetry_kind(kind, m, rng):
-    """Amplitudes of one of the kinds whose certificate cost differs most."""
-    size = 1 << m
-    bits = (np.arange(size)[:, None] >> np.arange(m)) & 1
-    if kind == "haar":
-        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    if kind == "gaussian product":
-        return random_product_state(rng, m).amplitudes
-    if kind == "dicke":  # m // 2 excitations
-        return (bits.sum(axis=1) == m // 2).astype(complex)
-    if kind == "phase product":  # (1, e^(i phi_j)) on every qubit
-        return np.exp(1j * (bits @ rng.uniform(0.0, 2 * np.pi, m)))
-    if kind == "ring graph":
-        return (-1.0) ** (bits * np.roll(bits, 1, axis=1)).sum(axis=1)
-    return np.exp(2j * np.pi * rng.random(size))  # random phase
-
-
 @pytest.mark.bitexact
 @settings(max_examples=30, deadline=None)
 @given(
-    kind=st.sampled_from(
-        ["haar", "gaussian product", "dicke", "phase product", "ring graph", "random phase"]
-    ),
+    kind=st.sampled_from(SYMMETRY_KINDS),
     m=st.integers(min_value=2, max_value=12),
     shift=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -1122,12 +1111,12 @@ def test_certificate_symmetries_keep_every_bit(kind, m, shift, seed):
     complex conjugation conjugates every minor, so ``largest_minors`` takes
     its maximum over the same values. A power of two that keeps every part
     normal scales exactly, and ``unit_vectors`` first scales by a power of
-    two anyway. Only up to rounding, and not tested here: ``max_residual``
-    of a permuted raw vector, whose norm sums in another order, and a qubit
-    flip, which swaps the two rows of one flattening.
+    two anyway. Only up to rounding: a qubit flip, tested below, and
+    ``max_residual`` of a permuted raw vector, whose norm sums in another
+    order, tested with the verdict in ``test_analyzer.py``.
     """
     rng = np.random.default_rng(seed)
-    amplitudes = np.asarray(_symmetry_kind(kind, m, rng), dtype=complex)
+    amplitudes = np.asarray(symmetry_kind(kind, m, rng), dtype=complex)
     unit = unit_vectors(amplitudes)[0]
     permuted = unit.reshape((2,) * m).transpose(rng.permutation(m)).reshape(-1)
     residuals = largest_minors(np.stack([unit, permuted, np.conj(unit)]))
@@ -1139,6 +1128,57 @@ def test_certificate_symmetries_keep_every_bit(kind, m, shift, seed):
     k = lowest + round(shift * (highest - lowest))
     scaled = np.ldexp(parts, k).view(complex)
     assert unit_vectors(scaled)[0].tobytes() == unit.tobytes()
+
+
+def _complex_products_commute():
+    """Whether complex ``x * y`` and ``y * x`` agree to the bit on the loops
+    that numpy runs, in the broadcast shapes of the certificate's tiles.
+
+    numpy's AVX2 and AVX-512 loops form the imaginary part of ``x * y`` with
+    a fused multiply-add, ``fma(xr, yi, xi * yr)``, which rounds ``xi * yr``
+    alone, so swapping the factors can move its last bit; the x86-64-v2
+    loops round both products and commute. ``np.__cpu_features__`` reports
+    FMA3 on both, so the probe multiplies fixed Gaussian vectors instead.
+    """
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
+    outer = (x[:, None] * y).tobytes()
+    swapped = (y * x[:, None]).tobytes(), (y[:, None] * x).T.tobytes()
+    return (x * y).tobytes() == (y * x).tobytes() and swapped == (outer, outer)
+
+
+@pytest.mark.bitexact
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(SYMMETRY_KINDS),
+    m=st.integers(min_value=2, max_value=12),
+    qubit=st.integers(min_value=0, max_value=11),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_certificate_qubit_flip_moves_only_rounding(kind, m, qubit, seed):
+    """A qubit flip X keeps the certificate up to the rounding of one product.
+
+    X on qubit p swaps the two rows of flattening p, so its minors are
+    formed with ``r1`` first, as ``r1[c] r0[d] - r1[d] r0[c]``: the negated
+    minor with each product's factors swapped. On the other flattenings it
+    swaps columns, which negates or keeps each minor exactly. So the bits
+    are equal where complex products commute. Where they do not, each
+    computed minor of a unit row lies within e n_c n_d <= e / 2 of its exact
+    value, e = (sqrt(5) + 3) u, as the premise of ``_MINOR_ERROR`` states:
+    the columns are distinct parts of a unit vector, so n_c n_d <= 1/2. The
+    exact minors keep their moduli, so the two maxima lie within e of each
+    other, below ``_MINOR_ERROR`` = 16u. The residual of a product is
+    rounding noise and can move by tens of percent, so no relative
+    tolerance would do.
+    """
+    rng = np.random.default_rng(seed)
+    unit = unit_vectors(np.asarray(symmetry_kind(kind, m, rng), dtype=complex))[0]
+    flipped = unit.reshape(1 << (qubit % m), 2, -1)[:, ::-1].reshape(-1)
+    residual, moved = largest_minors(np.stack([unit, flipped])).tolist()
+    if _complex_products_commute():
+        assert moved == residual
+    else:
+        assert abs(moved - residual) <= segre._MINOR_ERROR
 
 
 @pytest.mark.bitexact
